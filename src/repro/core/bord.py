@@ -17,9 +17,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.machine import MachineSpec
 from repro.core.roofsurface import BoundingFactor, RoofSurface
 from repro.errors import ConfigurationError
+
+#: The regions :meth:`Bord._classify_grid` codes as 0, 1, 2: tie-break order.
+_GRID_FACTORS = (
+    BoundingFactor.MEMORY,
+    BoundingFactor.MATRIX,
+    BoundingFactor.VECTOR,
+)
 
 
 @dataclass(frozen=True)
@@ -63,6 +72,21 @@ class Bord:
         """Region of a kernel signature."""
         return self._surface.bounding_factor(aixm, aixv)
 
+    def _classify_grid(self, aixm: np.ndarray, aixv: np.ndarray) -> np.ndarray:
+        """:meth:`classify` of every (aixm[i], aixv[j]), as codes at [j, i].
+
+        Code c stands for ``_GRID_FACTORS[c]``. The three rates are the
+        same products :class:`RoofSurface` forms, so every cell matches
+        the scalar classification, ties included.
+        """
+        m = self.machine
+        mem = m.memory_bandwidth * aixm[np.newaxis, :]
+        vec = m.vector_ops_per_second * aixv[:, np.newaxis]
+        mtx = m.matrix_ops_per_second
+        return np.where(
+            (mem <= mtx) & (mem <= vec), 0, np.where(mtx <= vec, 1, 2)
+        )
+
     def place(self, label: str, aixm: float, aixv: float) -> BordPoint:
         """Place a labelled kernel on the diagram."""
         return BordPoint(label, aixm, aixv, self.classify(aixm, aixv))
@@ -83,16 +107,14 @@ class Bord:
         """
         if aixm_max <= 0 or aixv_max <= 0:
             raise ConfigurationError("window extents must be positive")
-        counts = {factor: 0 for factor in BoundingFactor}
-        step_x = aixm_max / samples
-        step_y = aixv_max / samples
-        for i in range(samples):
-            x = (i + 0.5) * step_x
-            for j in range(samples):
-                y = (j + 0.5) * step_y
-                counts[self.classify(x, y)] += 1
+        centres = np.arange(samples) + 0.5
+        codes = self._classify_grid(
+            centres * (aixm_max / samples), centres * (aixv_max / samples)
+        )
+        counts = np.bincount(codes.ravel(), minlength=len(_GRID_FACTORS))
+        by_factor = dict(zip(_GRID_FACTORS, counts.tolist()))
         total = samples * samples
-        return {factor: counts[factor] / total for factor in BoundingFactor}
+        return {factor: by_factor[factor] / total for factor in BoundingFactor}
 
     def render_ascii(
         self,
@@ -114,14 +136,14 @@ class Bord:
             BoundingFactor.VECTOR: "v",
             BoundingFactor.MATRIX: "x",
         }
-        rows: List[List[str]] = []
-        for j in range(height):
-            y = (height - j - 0.5) / height * aixv_max
-            row = []
-            for i in range(width):
-                x = (i + 0.5) / width * aixm_max
-                row.append(letters[self.classify(x, y)])
-            rows.append(row)
+        codes = self._classify_grid(
+            (np.arange(width) + 0.5) / width * aixm_max,
+            (height - np.arange(height) - 0.5) / height * aixv_max,
+        )
+        rows = [
+            [letters[_GRID_FACTORS[code]] for code in row]
+            for row in codes.tolist()
+        ]
         for point in points:
             col = int(point.aixm / aixm_max * width)
             row = height - 1 - int(point.aixv / aixv_max * height)

@@ -13,13 +13,17 @@ Binomial(W, d) and the expected bubbles follow the paper's formula::
     bpv = sum_{k=0}^{W/Lq - 1} k * [F((k+1) Lq; W, d) - F(k Lq; W, d)]
 
 where F is the binomial CDF.
+
+F is SciPy's Boost binomial-CDF kernel, the one ``scipy.stats.binom.cdf``
+wraps. It is loaded on the first sparse evaluation, so importing this
+module (and the CLI) never imports SciPy.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-
-from scipy.stats import binom
+from typing import Callable
 
 from repro.errors import ConfigurationError
 from repro.units import TILE_ELEMS
@@ -46,6 +50,32 @@ def lut_reads_per_cycle(lut_count: int, bits: int) -> int:
     return 4 * lut_count
 
 
+@functools.cache
+def binom_cdf_kernel() -> Callable[[float, float, float], float]:
+    """SciPy's binomial CDF ufunc ``(k, n, p)``, imported on first use.
+
+    ``scipy.special`` costs a fraction of ``scipy.stats``'s import time,
+    and this private ufunc is exactly what ``binom.cdf`` evaluates; the
+    public ``bdtr``/``betaincc`` routes differ from it in the last bits.
+    A process about to fork workers calls this first, so the workers
+    inherit the loaded kernel instead of each importing SciPy.
+    """
+    from scipy.special._ufuncs import _binom_cdf
+
+    return _binom_cdf
+
+
+def _binom_cdf(k: int, n: int, p: float) -> float:
+    """``scipy.stats.binom.cdf(k, n, p)`` bit for bit, for 0 <= k, n >= 1.
+
+    Mirrors ``rv_discrete.cdf`` around the kernel: exactly 1.0 at or past
+    the support's upper end, the kernel's value clipped to [0, 1] below.
+    """
+    if k >= n:
+        return 1.0
+    return min(max(binom_cdf_kernel()(k, n, p), 0.0), 1.0)
+
+
 def bubbles_per_vop_dense(width: int, lq: int) -> int:
     """Bubbles per vOp when every window holds exactly W elements."""
     if width < 1 or lq < 1:
@@ -68,8 +98,8 @@ def bubbles_per_vop_sparse(width: int, lq: int, density: float) -> float:
         return 0.0
     expected = 0.0
     for extra in range(max_extra + 1):
-        upper = binom.cdf(min((extra + 1) * lq, width), width, density)
-        lower = binom.cdf(extra * lq, width, density)
+        upper = _binom_cdf(min((extra + 1) * lq, width), width, density)
+        lower = _binom_cdf(extra * lq, width, density)
         expected += extra * (upper - lower)
     return float(expected)
 

@@ -64,6 +64,7 @@ import time
 from typing import Any, Dict, List, Optional, Tuple
 
 import repro.experiments  # noqa: F401  (registers every sweep scenario)
+from repro.core.bubbles import binom_cdf_kernel
 from repro.errors import ConfigurationError, DeadlineExceededError
 from repro.experiments.parallel import (
     claim_worker_pool,
@@ -346,6 +347,9 @@ class ServeDaemon:
             )
         listener.listen(LISTEN_BACKLOG)
         self._listener = listener
+        # Loaded before the pool forks, so workers inherit the kernel
+        # rather than each importing SciPy on its first sparse request.
+        binom_cdf_kernel()
         self._pool_width = claim_worker_pool(self.jobs)
         self._started_monotonic = time.monotonic()
         for slot in range(self.max_active):
@@ -446,6 +450,12 @@ class ServeDaemon:
             self._draining = True
         listener = self._listener
         if listener is not None:
+            # close() alone does not wake a thread blocked in accept()
+            # on Linux; shutdown() does, so the accept thread can exit.
+            try:
+                listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 listener.close()
             except OSError:
@@ -459,6 +469,8 @@ class ServeDaemon:
         for _ in range(self.max_active):
             self._admission.put((float("inf"), self._next_seq(), None))
         deadline = None if timeout is None else time.monotonic() + timeout
+        if self._accept_thread is not None:
+            self._accept_thread.join(self._remaining(deadline))
         for thread in self._runner_threads:
             thread.join(self._remaining(deadline))
         with self._conn_lock:

@@ -470,6 +470,29 @@ class TestParser:
         assert "Traceback" not in result.stderr
 
 
+class TestColdStart:
+    def test_cli_import_does_not_load_scipy(self):
+        """SciPy loads on the first sparse bubble evaluation, never at
+        ``import repro.cli``; its import dominated every cold start."""
+        import pathlib
+        import subprocess
+        import sys as _sys
+
+        result = subprocess.run(
+            [_sys.executable, "-c",
+             "import sys, repro.cli\n"
+             "print(sorted(m for m in sys.modules\n"
+             "             if m.split('.')[0] == 'scipy'))"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": "src"},
+            cwd=pathlib.Path(__file__).resolve().parents[1],
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
+
+
 class TestFigures:
     def test_exports_svgs(self, tmp_path, capsys):
         from repro.cli import main as cli_main

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.bubbles import (
+    _binom_cdf,
     bubbles_per_vop,
     bubbles_per_vop_dense,
     bubbles_per_vop_sparse,
@@ -76,6 +77,28 @@ class TestSparseBubbles:
     def test_dispatch(self):
         assert bubbles_per_vop(32, 8, 1.0, sparse=False) == 3.0
         assert bubbles_per_vop(32, 8, 0.5, sparse=True) < 3.0
+
+
+class TestBinomCdfKernel:
+    def test_matches_scipy_stats_bit_for_bit(self):
+        """The lazily loaded kernel is ``scipy.stats.binom.cdf`` exactly.
+
+        Pins every k of every power-of-two W up to 512 at d = 0.01..1.00:
+        a SciPy release that renames or changes the private kernel must
+        fail here, not drift the model's outputs by a few ULPs.
+        """
+        from scipy.stats import binom
+
+        densities = np.arange(1, 101) / 100
+        for width in (2**i for i in range(10)):
+            ks = np.arange(width + 1)
+            expected = binom.cdf(ks[:, None], width, densities[None, :])
+            got = np.array(
+                [[_binom_cdf(int(k), width, float(d)) for d in densities]
+                 for k in ks]
+            )
+            mismatched = np.argwhere(got != expected)
+            assert mismatched.size == 0, (width, mismatched[:5])
 
 
 class TestVopsPerTile:

@@ -562,3 +562,24 @@ class TestDrainSymmetry:
         daemon.drain()
         assert not worker_pool_owned()
         assert worker_pool_size() == 0
+
+    def test_drain_stops_the_accept_thread(self, tmp_path):
+        """close() alone leaves a thread blocked in accept(); drain must
+        wake it and join it, so no serve-accept thread outlives drain."""
+        shutdown_worker_pool()
+        daemon = ServeDaemon(
+            socket_path=str(tmp_path / "acc.sock"), jobs=1, max_active=1
+        )
+        daemon.start()
+        accept_thread = daemon._accept_thread
+        assert accept_thread is not None
+        # A served ping proves the loop ran; the pause lets it block in
+        # accept() again, the state close() alone never wakes.
+        assert connect(daemon.socket_path).ping()
+        time.sleep(0.2)
+        assert accept_thread.is_alive()
+        daemon.drain(timeout=10.0)
+        assert not accept_thread.is_alive()
+        assert all(
+            thread is not accept_thread for thread in threading.enumerate()
+        )
