@@ -56,14 +56,6 @@ docs/PERFORMANCE.md.
 — the conservative end-to-end number on a real workload, gated only
 against a no-regression floor.
 
-``warm_worker_hit_rate`` tracks the warm-start cache broadcast
-(:mod:`repro.experiments.parallel`): the ``figure12+figure13``
-composite scenario runs twice on one persistent 2-worker pool. On the
-second run the parent broadcasts its merged entries back out at each
-sub-sweep's dispatch, so the workers serve every lookup from memory —
-``worker_memory_hit_rate`` is machine-independent and gated against a
-90% floor.
-
 ``serve_coalesced_8x`` tracks the sweep-serving daemon
 (:mod:`repro.serve`): eight clients request the identical cold Figure 12
 sweep concurrently and the daemon coalesces them onto one underlying
@@ -128,14 +120,10 @@ KNOWN_BENCHMARKS = (
     "figure12_batched",
     "grid_batched_48",
     "dse_warm_cache",
-    "warm_worker_hit_rate",
     "disk_delta_commit",
     "disk_index_attach",
-    "prefetch_warm_sweep",
     "serve_coalesced_8x",
     "serve_cancel_reclaim",
-    "remote_dispatch_overhead",
-    "remote_delta_dedup",
 )
 
 #: One-time measurements of the seed-commit implementation (c229933),
@@ -550,70 +538,6 @@ def run_benchmarks(
             configure_simulation_cache_dir(None)
             shutil.rmtree(cache_root, ignore_errors=True)
 
-    # --- warm-start broadcast: composite scenario twice on one pool ----
-    if want("warm_worker_hit_rate"):
-        from repro.experiments.composite import figure12_figure13_sweep
-        from repro.experiments.parallel import shutdown_worker_pool
-        from repro.sim.cache import simulation_cache_stats
-
-        def composite_round():
-            sweep = figure12_figure13_sweep()
-            sweep.run(jobs=2)
-            return sweep.executions
-
-        def round_hit_rate(executions, stats_before) -> float:
-            hits = sum(ex.worker_hits for _, ex in executions)
-            misses = sum(ex.worker_misses for _, ex in executions)
-            disk = sum(ex.worker_disk_hits for _, ex in executions)
-            lookups = hits + misses + disk
-            if lookups == 0:
-                # Serial fallback (no fork): the cells ran in-process,
-                # so this round's delta of the parent's own counters
-                # carries the evidence (the cumulative totals would
-                # dilute the warm rate with the cold round's misses).
-                stats = simulation_cache_stats()
-                hits = stats.hits - stats_before.hits
-                lookups = (
-                    hits
-                    + (stats.misses - stats_before.misses)
-                    + (stats.disk_hits - stats_before.disk_hits)
-                )
-                return hits / lookups if lookups else 0.0
-            return hits / lookups
-
-        # Cold: fresh pool, empty cache — the composite computes all
-        # cells in the workers and merges them into the parent.
-        shutdown_worker_pool()
-        clear_simulation_cache()
-        start = time.perf_counter()
-        composite_round()
-        cold_s = time.perf_counter() - start
-        # Warm: same process, same (now stale) pool — the broadcast
-        # ships the parent's merged entries back out at dispatch, so
-        # worker lookups are served from worker memory.
-        warm_rates = []
-        warm_entries = []
-        warm_s = float("inf")
-        for _ in range(reps_for(max(repeats // 4, 3))):
-            stats_before = simulation_cache_stats()
-            start = time.perf_counter()
-            executions = composite_round()
-            warm_s = min(warm_s, time.perf_counter() - start)
-            warm_rates.append(round_hit_rate(executions, stats_before))
-            warm_entries.append(
-                sum(ex.broadcast_entries for _, ex in executions)
-            )
-        shutdown_worker_pool()
-        results["warm_worker_hit_rate"] = {
-            "after_s": warm_s,
-            "cold_s": cold_s,
-            "warm_speedup": cold_s / warm_s,
-            # The worst repetition, like the disk anchor: a flaky
-            # broadcast must not hide behind one clean rep.
-            "worker_memory_hit_rate": min(warm_rates),
-            "broadcast_entries": float(min(warm_entries)),
-        }
-
     # --- disk tier v2: packed group commit vs per-entry writes ---------
     if want("disk_delta_commit"):
         import shutil
@@ -728,80 +652,6 @@ def run_benchmarks(
             "stat_walk_s": before,
             "index_attach_speedup": before / after,
             "entries": float(probe_n),
-        }
-
-    # --- disk tier v2: pipelined prefetch into workers -----------------
-    if want("prefetch_warm_sweep"):
-        import shutil
-        import tempfile
-
-        from repro.experiments.parallel import (
-            WARM_BROADCAST_ENV,
-            last_sweep_execution,
-            shutdown_worker_pool,
-        )
-        from repro.sim.cache import configure_simulation_cache_dir
-
-        prefetch_root = tempfile.mkdtemp(prefix="repro-bench-prefetch-")
-        saved_budget = os.environ.get(WARM_BROADCAST_ENV)
-        # Entry broadcast disabled: any warmth the workers show comes
-        # from the index-driven prefetch alone.
-        os.environ[WARM_BROADCAST_ENV] = "0"
-        try:
-            configure_simulation_cache_dir(prefetch_root)
-            # Cold: compute the grid and spill every entry to disk.
-            shutdown_worker_pool()
-            clear_simulation_cache()
-            start = time.perf_counter()
-            cold_records = run_grid(batch=False, jobs=2)
-            cold_s = time.perf_counter() - start
-            # Warm replays: memory dropped each round (the restart
-            # scenario), pool kept. Workers must re-warm from the disk
-            # tier through the prefetch broadcast — lookups then land
-            # as worker memory hits, not lazy disk loads.
-            rates = []
-            warm_s = float("inf")
-            for _ in range(reps_for(max(repeats // 4, 3))):
-                clear_simulation_cache()
-                start = time.perf_counter()
-                warm_records = run_grid(batch=False, jobs=2)
-                warm_s = min(warm_s, time.perf_counter() - start)
-                assert warm_records == cold_records, (
-                    "prefetch-warm grid diverged from the cold run"
-                )
-                execution = last_sweep_execution()
-                assert execution.broadcast_entries == 0, (
-                    "entry broadcast ran with a zero budget"
-                )
-                lookups = (
-                    execution.worker_hits
-                    + execution.worker_misses
-                    + execution.worker_disk_hits
-                )
-                if lookups == 0:
-                    # Serial fallback (no fork): the prefetch seam is
-                    # worker-side only; record a full-warm rate from
-                    # the disk tier's behalf rather than a vacuous 0.
-                    rates.append(1.0)
-                else:
-                    rates.append(execution.worker_hits / lookups)
-            shutdown_worker_pool()
-        finally:
-            if saved_budget is None:
-                os.environ.pop(WARM_BROADCAST_ENV, None)
-            else:
-                os.environ[WARM_BROADCAST_ENV] = saved_budget
-            configure_simulation_cache_dir(None)
-            clear_simulation_cache()
-            shutil.rmtree(prefetch_root, ignore_errors=True)
-        results["prefetch_warm_sweep"] = {
-            "after_s": warm_s,
-            "cold_s": cold_s,
-            "warm_speedup": cold_s / warm_s,
-            # Worst repetition, like the other warm anchors: a racy
-            # prefetch must not hide behind one clean rep.
-            "prefetch_hit_rate": min(rates),
-            "cells": float(len(cold_records)),
         }
 
     # --- serve daemon: coalesced concurrent clients vs serial colds ----
@@ -949,104 +799,6 @@ def run_benchmarks(
             "cpu_count": float(os.cpu_count() or 1),
         }
 
-    # --- socket executor: per-cell dispatch overhead vs fork -----------
-    if want("remote_dispatch_overhead"):
-        from repro.experiments import remote
-        from repro.experiments.parallel import shutdown_worker_pool
-
-        grid_tiles = 64 if smoke else 300
-        reps = reps_for(3)
-
-        def grid_per_cell() -> object:
-            # batch=False pins the per-cell dispatch path on both
-            # backends: 48 individual cells through stream_map, so the
-            # ratio isolates transport overhead, not batching effects.
-            clear_simulation_cache()
-            return run_grid(tiles=grid_tiles, jobs=2, batch=False)
-
-        shutdown_worker_pool()
-        hosts = remote.start_loopback_workers(2)
-        remote.configure_sweep_hosts(hosts)
-        try:
-            socket_s = best_of(grid_per_cell, reps)
-        finally:
-            # Explicitly disable (not revert-to-env) so a stray
-            # REPRO_SWEEP_HOSTS can never leak into the fork baseline.
-            remote.configure_sweep_hosts(())
-            shutdown_worker_pool()
-        try:
-            fork_s = best_of(grid_per_cell, reps)
-        finally:
-            remote.configure_sweep_hosts(None)
-            shutdown_worker_pool()
-        clear_simulation_cache()
-        results["remote_dispatch_overhead"] = {
-            "after_s": socket_s,
-            "fork_s": fork_s,
-            # Loopback socket sweep over fork sweep, same grid, same
-            # width. Machine-independent: both backends run on this
-            # host, so the ratio cancels its absolute speed.
-            "dispatch_overhead_ratio": socket_s / fork_s,
-            "cells": 48.0,
-            "cpu_count": float(os.cpu_count() or 1),
-        }
-
-    # --- socket executor: warm replay ships ~0 shard bytes -------------
-    if want("remote_delta_dedup"):
-        from repro.experiments import remote
-        from repro.experiments.grid import grid_spec
-        from repro.experiments.parallel import (
-            last_sweep_execution,
-            shutdown_worker_pool,
-        )
-
-        dedup_tiles = 64 if smoke else 300
-        spec = grid_spec(tiles=dedup_tiles)
-        shutdown_worker_pool()
-        clear_simulation_cache()
-        hosts = remote.start_loopback_workers(2)
-        remote.configure_sweep_hosts(hosts)
-        try:
-            start = time.perf_counter()
-            cold_rows = sum(1 for _ in spec.stream(jobs=1, batch=False))
-            cold_s = time.perf_counter() - start
-            cold_exec = last_sweep_execution()
-            cold_bytes = (
-                cold_exec.delta_bytes_sent
-                + cold_exec.delta_bytes_received
-            )
-            # One convergence replay: the cold run split the grid across
-            # the workers, so each host holds only its own partition and
-            # the first replay legitimately cross-fills the other half
-            # via the warm broadcast. The measured warm replay runs on
-            # converged hosts, where dedup should leave ~nothing to ship.
-            sum(1 for _ in spec.stream(jobs=1, batch=False))
-            start = time.perf_counter()
-            warm_rows = sum(1 for _ in spec.stream(jobs=1, batch=False))
-            warm_s = time.perf_counter() - start
-            warm_exec = last_sweep_execution()
-            warm_bytes = (
-                warm_exec.delta_bytes_sent
-                + warm_exec.delta_bytes_received
-            )
-        finally:
-            remote.configure_sweep_hosts(None)
-            shutdown_worker_pool()
-        clear_simulation_cache()
-        assert cold_rows == warm_rows, (cold_rows, warm_rows)
-        assert cold_bytes > 0, "cold socket sweep moved no shard bytes"
-        results["remote_delta_dedup"] = {
-            "after_s": warm_s,
-            "cold_s": cold_s,
-            "cold_delta_bytes": float(cold_bytes),
-            "warm_delta_bytes": float(warm_bytes),
-            # Both directions dedup against the other side's digest
-            # set, so a warm replay on live workers should ship ~none
-            # of the cold run's shard traffic again.
-            "warm_shard_bytes_ratio": warm_bytes / max(cold_bytes, 1),
-            "cpu_count": float(os.cpu_count() or 1),
-        }
-
     # --- parallel sweep executor: full grid at 1/2/4 workers -----------
     if want("figure12_sweep_parallel"):
         sweep_tiles = 600 if smoke else PARALLEL_SWEEP_TILES
@@ -1179,28 +931,11 @@ def main(argv=None) -> int:
                 f"  {entry['warm_speedup']:5.1f}x warm vs cold "
                 f"({entry['disk_hit_rate']:.0%} disk hits)"
             )
-        if "worker_memory_hit_rate" in entry:
-            line += (
-                f"  {entry['warm_speedup']:5.1f}x warm vs cold "
-                f"({entry['worker_memory_hit_rate']:.0%} worker memory "
-                "hits)"
-            )
         if "coalesced_hit_rate" in entry:
             line += (
                 f"  {entry['coalesced_speedup']:5.1f}x vs "
                 f"{entry['requests']:.0f} serial colds "
                 f"({entry['coalesced_hit_rate']:.0%} coalesced)"
-            )
-        if "dispatch_overhead_ratio" in entry:
-            line += (
-                f"  {entry['dispatch_overhead_ratio']:5.2f}x socket vs "
-                "fork dispatch"
-            )
-        if "warm_shard_bytes_ratio" in entry:
-            line += (
-                f"  {entry['warm_shard_bytes_ratio']:.1%} of "
-                f"{entry['cold_delta_bytes']:.0f} cold shard bytes "
-                "re-shipped warm"
             )
         if "first_result_fraction" in entry:
             line += (

@@ -61,24 +61,11 @@ ANCHOR_REQUIRED_FIELDS: Dict[str, "tuple[str, ...]"] = {
     "disk_index_attach": (
         "stat_walk_s", "index_attach_speedup", "entries",
     ),
-    "prefetch_warm_sweep": (
-        "cold_s", "warm_speedup", "prefetch_hit_rate", "cells",
-    ),
-    "remote_dispatch_overhead": (
-        "fork_s", "dispatch_overhead_ratio", "cells",
-    ),
-    "remote_delta_dedup": (
-        "cold_s", "cold_delta_bytes", "warm_delta_bytes",
-        "warm_shard_bytes_ratio",
-    ),
 }
 
 #: Fields that are rates/fractions of a coalescing total and therefore
 #: must not exceed 1.0 (the generic numeric check only pins >= 0).
-UNIT_INTERVAL_FIELDS = (
-    "coalesced_hit_rate", "reclaimed_fraction", "prefetch_hit_rate",
-    "warm_shard_bytes_ratio",
-)
+UNIT_INTERVAL_FIELDS = ("coalesced_hit_rate", "reclaimed_fraction")
 
 
 def _known_benchmarks() -> "tuple[str, ...]":

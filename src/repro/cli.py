@@ -24,10 +24,6 @@ Commands:
 * ``serve-request`` — send one request (a scenario name, ``--inline``
   JSON, ``--status``, or ``--ping``) to a running daemon and stream
   its JSONL rows to stdout.
-* ``worker`` — run one socket sweep worker: bind a TCP port (loopback
-  by default) and serve cell partitions dispatched by a parent's
-  ``--hosts`` / ``REPRO_SWEEP_HOSTS`` sweep (see
-  ``docs/DISTRIBUTED.md`` for the operator guide and trust model).
 
 Repeated simulations are served from the process-wide LRU cache
 (``repro.sim.cache``), and the sweep-shaped commands (``experiments``,
@@ -35,12 +31,7 @@ Repeated simulations are served from the process-wide LRU cache
 independent configurations out across a persistent pool of forked
 worker processes whose caches are merged incrementally as cells finish
 (``--jobs 0`` = one worker per CPU; the pool is reused by every sweep
-in the invocation). When a later sweep reuses the pool, the parent
-broadcasts its warm in-memory entries back out to the workers first
-(bounded by ``REPRO_WARM_BROADCAST_BYTES``, default 8 MiB, ``0``
-disables), so back-to-back sweeps — e.g. the registered
-``figure12+figure13`` composite scenario — hit memory in the workers
-instead of recomputing. The same commands accept ``--cache-dir PATH``
+in the invocation). The same commands accept ``--cache-dir PATH``
 (or the ``REPRO_CACHE_DIR`` environment variable) to spill simulation
 results to a disk-backed cache that survives process restarts: a
 re-run of the same sweep against a warm directory replays from disk
@@ -150,23 +141,9 @@ def _configure_cache(args: argparse.Namespace) -> None:
         )
 
 
-def _configure_hosts(args: argparse.Namespace) -> None:
-    """Apply ``--hosts`` (or revert to ``REPRO_SWEEP_HOSTS``) for sweeps.
-
-    An explicit flag wins over the environment; omitting it leaves the
-    environment in charge. Runs before any sweep so every execution
-    path (including the serve daemon's runner threads) sees the same
-    executor configuration.
-    """
-    from repro.experiments.remote import configure_sweep_hosts
-
-    configure_sweep_hosts(getattr(args, "hosts", None))
-
-
 def _print_scenarios() -> None:
     """The ``experiments --list`` table: every registered sweep."""
     from repro.experiments import sweepspec
-    from repro.experiments.remote import executor_topology
 
     scenarios = sweepspec.iter_scenarios()
     width = max(len(s.name) for s in scenarios)
@@ -174,16 +151,6 @@ def _print_scenarios() -> None:
           "stream rows with --out/--stream):")
     for scenario in sorted(scenarios, key=lambda s: s.name):
         print(f"  {scenario.name:<{width}}  {scenario.summary}")
-    topology = executor_topology()
-    line = f"executor backend: {topology['backend']}"
-    if topology["hosts"]:
-        line += " (" + ", ".join(topology["hosts"]) + ")"
-    print(line)
-    for host, cells in sorted(topology["host_cells"].items()):
-        print(f"  {host}: {cells} cells completed")
-    if topology["host_cells"]:
-        print(f"  delta bytes: {topology['delta_bytes_sent']} sent, "
-              f"{topology['delta_bytes_received']} received")
 
 
 def _run_scenario(name: str, args: argparse.Namespace, emitter) -> None:
@@ -217,7 +184,6 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
     from repro import experiments as exp
     from repro.experiments import sweepspec
 
-    _configure_hosts(args)
     if args.list:
         _print_scenarios()
         return 0
@@ -320,7 +286,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     from repro.experiments.sweepspec import batching_enabled
 
     _configure_cache(args)
-    _configure_hosts(args)
     system = _system_for(args.memory, args.cores)
     names = [name.strip() for name in args.scheme.split(",") if name.strip()]
     if not names:
@@ -380,7 +345,6 @@ def _cmd_dse(args: argparse.Namespace) -> int:
     from repro.experiments.dse import dse_spec
 
     _configure_cache(args)
-    _configure_hosts(args)
     machine = _system_for(args.memory, args.cores).machine
     spec = dse_spec(machine, PAPER_SCHEMES)
     print(spec.render(spec.run(jobs=args.jobs)))
@@ -521,7 +485,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve.daemon import ServeDaemon
 
     _configure_cache(args)
-    _configure_hosts(args)
     daemon = ServeDaemon(
         socket_path=args.socket,
         jobs=args.jobs,
@@ -631,42 +594,6 @@ def _cmd_serve_request(args: argparse.Namespace) -> int:
         return 2
 
 
-def _cmd_worker(args: argparse.Namespace) -> int:
-    """Run one socket sweep worker until SIGTERM/SIGINT.
-
-    Binds ``--host:--port`` (``--port 0`` picks a free port) and prints
-    the ready line parents and supervisors parse; then serves cell
-    partitions until signalled. The worker uses its *own* cache
-    configuration (``--cache-dir`` / ``REPRO_CACHE_DIR``) — parents
-    exchange cache state with it only as hash-sharded deltas.
-    """
-    import signal
-    import threading
-
-    from repro.experiments.remote import run_worker_server
-
-    _configure_cache(args)
-    stop = threading.Event()
-
-    def _request_stop(_signum, _frame) -> None:
-        stop.set()
-
-    # Handlers go in before the ready line, same as `repro serve`: a
-    # supervisor reacting to the line by signalling immediately must
-    # hit the graceful stop, never the default-action kill.
-    signal.signal(signal.SIGTERM, _request_stop)
-    signal.signal(signal.SIGINT, _request_stop)
-
-    def _ready(host: str, port: int) -> None:
-        print(f"repro worker: listening on {host}:{port}", flush=True)
-
-    run_worker_server(
-        host=args.host, port=args.port, ready=_ready, stop_event=stop,
-    )
-    print("repro worker: stopped", flush=True)
-    return 0
-
-
 def _cmd_validate(_args: argparse.Namespace) -> int:
     from repro.experiments import validation
 
@@ -701,9 +628,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="fork N workers for independent configurations and merge "
                  "their simulation caches on join (default: 1 = serial, "
                  "0 = one worker per CPU); the pool persists across "
-                 "sweeps within one invocation, and later sweeps "
-                 "broadcast the parent's warm cache entries back to it "
-                 "(bounded by REPRO_WARM_BROADCAST_BYTES, 0 disables)",
+                 "sweeps within one invocation",
         )
 
     def add_cache_dir(p: argparse.ArgumentParser) -> None:
@@ -712,15 +637,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="spill simulation results to a disk cache at PATH "
                  "(created if missing) and replay them on later runs; "
                  "defaults to $REPRO_CACHE_DIR, unset = memory-only",
-        )
-
-    def add_hosts(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--hosts", default=None, metavar="HOST:PORT,...",
-            help="dispatch sweep cells to these `repro worker` socket "
-                 "workers instead of the local fork pool (comma-"
-                 "separated; overrides $REPRO_SWEEP_HOSTS, '' disables); "
-                 "the host list replaces --jobs as the parallelism",
         )
 
     def add_no_batch(p: argparse.ArgumentParser) -> None:
@@ -761,7 +677,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_jobs(p_exp)
     add_cache_dir(p_exp)
     add_no_batch(p_exp)
-    add_hosts(p_exp)
     p_exp.set_defaults(func=_cmd_experiments)
 
     p_sim = sub.add_parser(
@@ -786,7 +701,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_jobs(p_sim)
     add_cache_dir(p_sim)
     add_no_batch(p_sim)
-    add_hosts(p_sim)
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_llm = sub.add_parser("llm", help="LLM next-token latency")
@@ -811,7 +725,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_dse.add_argument("--cores", type=int, default=56)
     add_jobs(p_dse)
     add_cache_dir(p_dse)
-    add_hosts(p_dse)
     p_dse.set_defaults(func=_cmd_dse)
 
     p_area = sub.add_parser("area", help="DECA area model")
@@ -899,28 +812,7 @@ def build_parser() -> argparse.ArgumentParser:
              "into memory at startup (repeatable; needs --cache-dir)",
     )
     add_cache_dir(p_serve)
-    add_hosts(p_serve)
     p_serve.set_defaults(func=_cmd_serve)
-
-    p_worker = sub.add_parser(
-        "worker",
-        help="run one socket sweep worker serving cell partitions "
-             "dispatched by a --hosts/REPRO_SWEEP_HOSTS parent "
-             "(loopback by default; SIGTERM stops gracefully)",
-    )
-    p_worker.add_argument(
-        "--host", default="127.0.0.1", metavar="ADDR",
-        help="address to bind (default: %(default)s; binding a "
-             "routable address is for trusted networks only — the "
-             "transport executes pickled payloads by design)",
-    )
-    p_worker.add_argument(
-        "--port", type=int, default=0, metavar="PORT",
-        help="TCP port to bind (default: 0 = pick a free port; the "
-             "ready line on stdout reports the actual one)",
-    )
-    add_cache_dir(p_worker)
-    p_worker.set_defaults(func=_cmd_worker)
 
     p_req = sub.add_parser(
         "serve-request",

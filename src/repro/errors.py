@@ -40,12 +40,3 @@ class DeadlineExceededError(ReproError):
 class ProgramError(ReproError):
     """An ISA-level instruction stream is malformed (e.g. hazard misuse)."""
 
-
-class RemoteWorkerError(ReproError):
-    """A socket sweep worker failed in a way the parent cannot recover.
-
-    Raised by the remote executor (:mod:`repro.experiments.remote`) when
-    a worker reports a cell exception, or when the transport desyncs
-    beyond the host-death recovery path (lost hosts themselves are
-    recovered silently by in-parent recompute, not by this error).
-    """

@@ -73,10 +73,6 @@ from repro.experiments.parallel import (
     worker_pool_pids,
     worker_pool_size,
 )
-from repro.experiments.remote import (
-    executor_topology,
-    shutdown_remote_workers,
-)
 from repro.experiments.sweepspec import (
     get_scenario,
     jsonl_line,
@@ -483,10 +479,6 @@ class ServeDaemon:
         # still be released (the leak this replaces skipped release
         # whenever the claimed width came back 1).
         release_worker_pool()
-        # The SIGTERM drain must also close socket-worker connections
-        # and reap loopback `repro worker` subprocesses — a daemon
-        # dispatching to --hosts workers exits leaving none behind.
-        shutdown_remote_workers()
         self._drained.set()
 
     @staticmethod
@@ -914,10 +906,6 @@ class ServeDaemon:
             "owned": worker_pool_owned(),
             "pids": list(worker_pool_pids()),
         }
-        # Executor topology: which backend sweeps dispatch through
-        # (fork or socket), the configured hosts, per-host cells
-        # completed, and cumulative shard-delta traffic.
-        snapshot["executor"] = executor_topology()
         snapshot["cache"] = {
             "entries": stats.size,
             "hits": stats.hits,

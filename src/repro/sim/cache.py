@@ -62,7 +62,6 @@ duplicate is dropped.
 from __future__ import annotations
 
 import enum
-import pickle
 import threading
 import weakref
 from collections import OrderedDict
@@ -342,8 +341,8 @@ class SimulationCache:
     def prefetch(self, key: Hashable) -> bool:
         """Warm ``key`` from the disk tier without moving any counter.
 
-        The pipelined-prefetch seam: a background thread calls this for
-        keys a sweep is *about* to need, so the later
+        The preload seam (``repro serve --preload``): the daemon calls
+        this for keys its requests are *about* to need, so the later
         :meth:`get_or_compute` lands as a plain memory hit. Counter
         neutrality is the contract — the prefetched entry must be
         indistinguishable from one that was already resident, so
@@ -404,44 +403,6 @@ class SimulationCache:
         """The current ``(key, value)`` entries, oldest first."""
         with self._lock:
             return list(self._entries.items())
-
-    def select_entries(
-        self,
-        prefix: Optional[Tuple[Any, ...]] = None,
-        max_bytes: Optional[int] = None,
-    ) -> Tuple[List[Tuple[Hashable, Any]], int]:
-        """Entries matching a key prefix, most-recently-used first, bounded.
-
-        ``prefix`` filters on the leading components of the cache key
-        (``simulation_key`` is ``(system, timing_key, tiles, extra)``,
-        so ``(system,)`` selects every entry simulated on that system);
-        ``None`` matches everything. ``max_bytes`` caps the *pickled*
-        size of the selection: entries are taken MRU-first, and one
-        that would overflow the remaining budget is skipped — not a
-        stop, so a single oversized entry cannot starve the smaller
-        ones behind it. Returns ``(entries, total_bytes)``. This is
-        the selection behind the parallel executor's warm-start
-        broadcast to persistent workers.
-        """
-        with self._lock:
-            candidates = list(reversed(self._entries.items()))
-        selected: List[Tuple[Hashable, Any]] = []
-        total = 0
-        for key, value in candidates:
-            if prefix is not None:
-                if not isinstance(key, tuple) or len(key) < len(prefix):
-                    continue
-                if any(key[i] != prefix[i] for i in range(len(prefix))):
-                    continue
-            if max_bytes is not None:
-                size = len(
-                    pickle.dumps((key, value), pickle.HIGHEST_PROTOCOL)
-                )
-                if total + size > max_bytes:
-                    continue
-                total += size
-            selected.append((key, value))
-        return selected, total
 
     def keys(self) -> "set[Hashable]":
         """The current key set (a copy)."""
@@ -583,8 +544,8 @@ def prefetch_simulation_keys(
 
     Counter-neutral (see :meth:`SimulationCache.prefetch`): the later
     real lookups account for themselves as ordinary memory hits.
-    ``should_stop`` is polled between keys so a cancelled or expired
-    sweep stops prefetching within one entry. Returns how many entries
+    ``should_stop`` is polled between keys so a draining daemon stops
+    prefetching within one entry. Returns how many entries
     were newly promoted into memory.
     """
     warmed = 0
@@ -624,21 +585,6 @@ def export_simulation_cache() -> List[Tuple[Hashable, Any]]:
 def simulation_cache_keys() -> "set[Hashable]":
     """The process-wide cache's current key set (a copy)."""
     return _GLOBAL_CACHE.keys()
-
-
-def select_simulation_cache_entries(
-    prefix: Optional[Tuple[Any, ...]] = None,
-    max_bytes: Optional[int] = None,
-) -> Tuple[List[Tuple[Hashable, Any]], int]:
-    """Process-wide cache entries for a warm-start broadcast.
-
-    MRU-first, filtered by a ``simulation_key`` prefix (e.g.
-    ``(system,)``) and capped by ``max_bytes`` of pickled payload; see
-    :meth:`SimulationCache.select_entries`. Used by
-    :mod:`repro.experiments.parallel` to ship the parent's warm entries
-    to persistent pool workers at sweep dispatch time.
-    """
-    return _GLOBAL_CACHE.select_entries(prefix=prefix, max_bytes=max_bytes)
 
 
 def merge_simulation_cache(

@@ -122,7 +122,7 @@ PACK_MIN_ENTRIES = 8
 
 #: Environment escape hatch: any value other than empty or ``"0"``
 #: routes every delta commit through the per-entry path (mirrors
-#: ``REPRO_NO_BATCH`` / ``REPRO_NO_PREFETCH``).
+#: ``REPRO_NO_BATCH``).
 PACK_DISABLE_ENV = "REPRO_NO_PACK"
 
 
@@ -260,10 +260,7 @@ def encode_entry_payload(key: Hashable, value: Any) -> bytes:
 
     These bytes are what :meth:`DiskCache.store_batch` writes into pack
     files and what :meth:`DiskCache.store` pickles into loose ``.pkl``
-    entries — so they can travel over any transport (the socket
-    executor ships them verbatim as hash-sharded deltas) and land on a
-    remote host's disk tier without re-encoding. Raises
-    ``pickle.PicklingError`` for unpicklable values.
+    entries. Raises ``pickle.PicklingError`` for unpicklable values.
     """
     return pickle.dumps(
         {
@@ -274,27 +271,6 @@ def encode_entry_payload(key: Hashable, value: Any) -> bytes:
         },
         protocol=_PICKLE_PROTOCOL,
     )
-
-
-def decode_entry_payload(payload: bytes) -> Tuple[Hashable, Any]:
-    """The ``(key, value)`` inside one encoded entry payload.
-
-    Validates the same invariants :meth:`DiskCache.load` checks —
-    payload shape, format version, schema fingerprint — and raises
-    ``ValueError`` on any mismatch, so a foreign or stale shard
-    received over the wire degrades to recompute instead of poisoning
-    the cache.
-    """
-    obj = pickle.loads(payload)
-    if (
-        not isinstance(obj, dict)
-        or obj.get("format") != ENTRY_FORMAT_VERSION
-        or obj.get("fingerprint") != schema_fingerprint()
-        or "key" not in obj
-        or "value" not in obj
-    ):
-        raise ValueError("unrecognized entry payload")
-    return obj["key"], obj["value"]
 
 
 @dataclass(frozen=True)

@@ -2,15 +2,76 @@
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import pathlib
 import signal
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from repro.core.schemes import parse_scheme
 from repro.sim.system import ddr_system, hbm_system
+
+
+#: How long the session-end guard waits for child processes and threads
+#: to finish exiting before it reports them as leaked (seconds).
+_LEAK_GRACE_S = 10.0
+
+
+def _live_children() -> "list[int]":
+    """PIDs of this process's live (non-zombie) children, via /proc."""
+    me = os.getpid()
+    pids = []
+    for stat in pathlib.Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):
+            continue  # exited mid-scan
+        if int(fields[1]) == me and fields[0] != "Z":
+            pids.append(int(stat.parent.name))
+    return pids
+
+
+def _live_threads() -> "list[str]":
+    """Names of live non-daemon threads other than the main thread."""
+    return [
+        thread.name
+        for thread in threading.enumerate()
+        if thread is not threading.main_thread() and not thread.daemon
+    ]
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _no_leaked_processes_or_threads():
+    """Fail the session if it leaves child processes or threads behind.
+
+    After the last test the persistent worker pool is torn down; any
+    child process or non-daemon thread still alive after a bounded wait
+    would hang (or outlive) interpreter exit, so it is reported. The
+    teardown itself runs in a daemon thread, so a hung teardown is
+    reported too instead of hanging the guard.
+    """
+    yield
+    from repro.experiments.parallel import shutdown_worker_pool
+
+    deadline = time.monotonic() + _LEAK_GRACE_S
+    teardown = threading.Thread(target=shutdown_worker_pool, daemon=True)
+    teardown.start()
+    teardown.join(_LEAK_GRACE_S)
+    while True:
+        multiprocessing.active_children()  # reaps exited children
+        children, threads = _live_children(), _live_threads()
+        if not (children or threads) or time.monotonic() >= deadline:
+            break
+        time.sleep(0.1)
+    assert not teardown.is_alive(), "worker-pool teardown hung"
+    assert not children and not threads, (
+        f"test session leaked child processes {children} and/or "
+        f"non-daemon threads {threads}"
+    )
 
 
 @pytest.fixture

@@ -72,6 +72,32 @@ class TestParallelSerialEquivalence:
         # GridRecord is a float dataclass: == is exact, not approximate.
         assert serial == parallel
 
+    def test_reused_pool_recomputes_bit_identical(self):
+        # A reused pool forked before the parent computed these
+        # entries: its workers recompute them, and the records match.
+        shutdown_worker_pool()
+        clear_simulation_cache()
+        parallel_map(_identity, [1, 2], jobs=2)
+        serial = _small_grid(jobs=1)
+        reused = _small_grid(jobs=2)
+        execution = last_sweep_execution()
+        assert execution.pool_reused
+        assert execution.worker_hits == 0
+        assert execution.worker_misses == len(serial)
+        assert reused == serial
+
+    def test_fresh_pool_inherits_parent_entries(self):
+        # A pool forked after the parent computed these entries
+        # inherits them through fork: every lookup hits.
+        shutdown_worker_pool()
+        clear_simulation_cache()
+        serial = _small_grid(jobs=1)
+        fresh = _small_grid(jobs=2)
+        execution = last_sweep_execution()
+        assert not execution.pool_reused
+        assert execution.worker_hits == len(serial)
+        assert fresh == serial
+
     def test_to_csv_round_trips_parallel_output(self, tmp_path):
         clear_simulation_cache()
         serial_csv = to_csv(_small_grid(jobs=1))
@@ -231,24 +257,13 @@ class TestDiskTierIntegration:
             stats = simulation_cache_stats()
             assert warm == cold
             assert execution.worker_misses == 0
-            # Every lookup is served from the disk tier — either as a
-            # lazy per-touch disk hit or, with the pipelined prefetch
-            # having warmed the worker LRU first, as a memory hit of a
-            # prefetched entry. Nothing recomputes either way.
-            assert execution.worker_hits + execution.worker_disk_hits == 4
-            # Prefetched entries are resident before each cell's
-            # baseline snapshot, so workers no longer re-ship entries
-            # the parent already holds on disk — the delta payload of a
-            # fully warm replay is empty.
-            assert execution.merged_entries == 0
+            # Every lookup is a lazy per-touch disk hit in a worker, and
+            # the entries it loaded ship back to the emptied parent.
+            assert execution.worker_disk_hits == 4
+            assert execution.merged_entries == 4
+            assert stats.disk_hits == 4
             assert stats.misses == 0
             assert stats.hit_rate == 1.0
-            # The grid is batchable, so the sweep shipped its keys and
-            # the workers confirmed the prefetch (the broadcast covers
-            # the whole pool, which may be wider than this sweep).
-            assert execution.prefetch_keys == 4
-            assert execution.prefetch_workers >= execution.jobs
-            assert execution.prefetched_entries >= 4
         finally:
             configure_simulation_cache_dir(None)
             clear_simulation_cache()

@@ -38,8 +38,6 @@ def test_smoke_runs_every_anchor(tmp_path, monkeypatch):
     # The machine-independent gate fields exist and are in range even
     # at smoke sizes (their values are only *gated* in real runs).
     assert results["multicore_event_blocked_300"]["speedup_vs_reference_loop"] > 0
-    rate = results["warm_worker_hit_rate"]["worker_memory_hit_rate"]
-    assert 0.0 <= rate <= 1.0
     assert results["dse_warm_cache"]["disk_hit_rate"] >= 0.0
     assert results["figure12_time_to_first_result"]["first_result_fraction"] > 0
     # The batching anchors measured both sides and derived their ratio.
@@ -61,7 +59,7 @@ def test_smoke_runs_every_anchor(tmp_path, monkeypatch):
     assert 0.0 <= reclaim["reclaimed_fraction"] <= 1.0
     assert reclaim["cells"] > 0.0
     # The disk-tier anchors measured both sides and derived their
-    # ratios; the prefetch hit rate is a true rate even at smoke sizes.
+    # ratios.
     delta = results["disk_delta_commit"]
     assert delta["per_entry_s"] > 0.0
     assert delta["delta_commit_speedup"] > 0.0
@@ -70,21 +68,6 @@ def test_smoke_runs_every_anchor(tmp_path, monkeypatch):
     assert attach["stat_walk_s"] > 0.0
     assert attach["index_attach_speedup"] > 0.0
     assert attach["entries"] > 0.0
-    prefetch = results["prefetch_warm_sweep"]
-    assert prefetch["cold_s"] > 0.0
-    assert 0.0 <= prefetch["prefetch_hit_rate"] <= 1.0
-    assert prefetch["cells"] > 0.0
-    # The socket-executor anchors measured both backends / both sweeps
-    # and derived their ratios; the warm shard ratio is a true fraction
-    # of the cold transfer even at smoke sizes.
-    dispatch = results["remote_dispatch_overhead"]
-    assert dispatch["fork_s"] > 0.0
-    assert dispatch["dispatch_overhead_ratio"] > 0.0
-    assert dispatch["cells"] == 48.0
-    dedup = results["remote_delta_dedup"]
-    assert dedup["cold_s"] > 0.0
-    assert dedup["cold_delta_bytes"] > 0.0
-    assert 0.0 <= dedup["warm_shard_bytes_ratio"] <= 1.0
     # Smoke mode must not have rewritten the recorded report.
     after = DEFAULT_OUTPUT.read_bytes() if DEFAULT_OUTPUT.exists() else None
     assert before == after

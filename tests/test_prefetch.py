@@ -1,24 +1,19 @@
-"""Tests for the pipelined prefetch broadcast (disk tier v2).
+"""Tests for disk-tier prefetch and warm disk replays.
 
-A batchable sweep ships its cells' *keys* (not entries) to the pool at
-dispatch; each worker warms its in-memory LRU from the shared disk tier
+``repro serve --preload`` warms the in-memory LRU from the disk tier
 ahead of need. The invariants: prefetch is counter-neutral (a warmed
-entry later reads as an ordinary memory hit), ``REPRO_NO_PREFETCH``
-disables the whole seam, and the warming honors the deadline/cancel
-seams instead of racing a finished sweep.
+entry later reads as an ordinary memory hit) and honors its stop seam.
+A pool sweep replayed against a warm disk tier is served entirely from
+it, bit-identical to the cold run.
 """
-
-import threading
 
 import pytest
 
 from repro.core.schemes import parse_scheme
 from repro.experiments.grid import run_grid
 from repro.experiments.parallel import (
-    PREFETCH_DISABLE_ENV,
     fork_available,
     last_sweep_execution,
-    prefetch_enabled,
     shutdown_worker_pool,
 )
 from repro.sim.cache import (
@@ -108,17 +103,8 @@ class TestPrefetchPrimitives:
             configure_simulation_cache_dir(None)
 
 
-class TestPrefetchEscapeHatch:
-    def test_env_disables_prefetch(self, monkeypatch):
-        assert prefetch_enabled() is True
-        monkeypatch.setenv(PREFETCH_DISABLE_ENV, "1")
-        assert prefetch_enabled() is False
-        monkeypatch.setenv(PREFETCH_DISABLE_ENV, "0")
-        assert prefetch_enabled() is True
-
-    def test_disabled_prefetch_sweep_still_bit_identical(
-        self, tmp_path, monkeypatch
-    ):
+class TestWarmReplay:
+    def test_pool_disk_replay_bit_identical(self, tmp_path):
         configure_simulation_cache_dir(str(tmp_path))
         shutdown_worker_pool()
         grid = dict(
@@ -128,36 +114,9 @@ class TestPrefetchEscapeHatch:
         )
         cold = run_grid(jobs=2, **grid)
         clear_simulation_cache()
-        monkeypatch.setenv(PREFETCH_DISABLE_ENV, "1")
         warm = run_grid(jobs=2, **grid)
         execution = last_sweep_execution()
         assert warm == cold
-        assert execution.prefetch_keys == 0
-        assert execution.prefetch_workers == 0
-        assert execution.prefetched_entries == 0
-        # The replay is still fully cache-served, just lazily.
+        # The replay is fully cache-served from the disk tier.
         assert execution.worker_misses == 0
         assert simulation_cache_stats().misses == 0
-
-
-class TestPrefetchSweep:
-    def test_warm_replay_prefetches_into_workers(self, tmp_path):
-        configure_simulation_cache_dir(str(tmp_path))
-        shutdown_worker_pool()
-        grid = dict(
-            systems=(hbm_system(),),
-            schemes=(parse_scheme("Q8"), parse_scheme("Q4")),
-            batch=False,
-        )
-        cold = run_grid(jobs=2, **grid)
-        # Keys are shipped even on a cold sweep (the workers' probes
-        # simply miss an empty disk) — warming is opportunistic.
-        assert last_sweep_execution().prefetch_keys > 0
-        clear_simulation_cache()
-        warm = run_grid(jobs=2, **grid)
-        execution = last_sweep_execution()
-        assert warm == cold
-        assert execution.prefetch_keys == 4  # 2 schemes x 2 engines
-        assert execution.prefetch_workers >= execution.jobs
-        assert execution.prefetched_entries >= 4
-        assert execution.worker_misses == 0

@@ -1,9 +1,7 @@
-"""Tests for the regression gate's skip reporting and ratio ceilings.
+"""Tests for the regression gate's skip reporting.
 
 CI asserts skip *reasons* (e.g. the 1-CPU parallel-scaling skip) off a
-machine-readable JSON line rather than grepping prose, and the socket
-executor's overhead/dedup anchors are gated by ratio *ceilings* — the
-mirror image of the long-standing ratio floors.
+machine-readable JSON line rather than grepping prose.
 """
 
 import json
@@ -56,35 +54,3 @@ def test_skipped_gates_empty_when_nothing_skipped(report, monkeypatch,
     payloads = [line for line in lines if line.startswith("{")]
     assert json.loads(payloads[0]) == {"skipped_gates": []}
 
-
-def test_ratio_ceilings_flag_overhead_blowups():
-    recorded = {
-        "remote_dispatch_overhead": {
-            "after_s": 1.0, "dispatch_overhead_ratio": 1.4,
-        },
-        "remote_delta_dedup": {
-            "after_s": 1.0, "warm_shard_bytes_ratio": 0.0,
-        },
-    }
-    # Within the ceilings: no failures.
-    fresh = {
-        "remote_dispatch_overhead": {
-            "after_s": 1.0, "dispatch_overhead_ratio": 1.9,
-        },
-        "remote_delta_dedup": {
-            "after_s": 1.0, "warm_shard_bytes_ratio": 0.05,
-        },
-    }
-    assert check_regression._ratio_ceiling_failures(recorded, fresh) == []
-    # Above them: both anchors flagged, and a vanished measurement is a
-    # failure rather than a silent pass.
-    fresh = {
-        "remote_dispatch_overhead": {
-            "after_s": 1.0, "dispatch_overhead_ratio": 2.5,
-        },
-        "remote_delta_dedup": {"after_s": 1.0},
-    }
-    failures = check_regression._ratio_ceiling_failures(recorded, fresh)
-    assert len(failures) == 2
-    assert any("above the 2.00 ceiling" in f for f in failures)
-    assert any("disappeared" in f for f in failures)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 
 import pytest
 
@@ -97,6 +98,62 @@ class TestWorkerLossExecutor:
         assert [r["cell"] for r in results] == list(range(4))
         assert victim in before
         shutdown_worker_pool()
+
+    @pytest.mark.parametrize("sweep_after_kill", [True, False],
+                             ids=["sweep", "idle"])
+    def test_teardown_after_kill_is_bounded(
+        self, fast_recovery, kill_pool_worker, sweep_after_kill
+    ):
+        """A sweep after a worker kill (if any), then teardown, end promptly.
+
+        Teardown must neither raise nor leave a pool worker process or
+        pool handler thread behind (a live handler hangs interpreter
+        exit). The slowest legitimate path is a victim that died
+        holding the task queue's reader lock: the stall fallback then
+        recovers the sweep after ``_STALL_GRACE_FACTOR`` grace periods.
+        Without a sweep, no one marked the pool suspect: teardown must
+        notice the replaced worker itself.
+        """
+        from repro.experiments import parallel as parallel_mod
+
+        grace = float(FAST_GRACE["REPRO_WORKER_LOSS_GRACE_S"])
+        budget = (parallel_mod._STALL_GRACE_FACTOR + 4) * grace
+        shutdown_worker_pool()
+        parallel_map(_synthetic_cell, [(0, 0.0), (1, 0.0)], jobs=2)
+        pool = parallel_mod._POOL
+        handlers = (
+            pool._worker_handler, pool._task_handler, pool._result_handler
+        )
+        victim = kill_pool_worker()
+        start = time.monotonic()
+        if sweep_after_kill:
+            results = parallel_map(
+                _synthetic_cell, [(i, 0.0) for i in range(4)], jobs=2
+            )
+            assert [r["cell"] for r in results] == list(range(4))
+        else:
+            while victim in worker_pool_pids():
+                assert time.monotonic() - start < budget, "never respawned"
+                time.sleep(0.01)
+        workers = list(pool._pool)
+        errors = []
+
+        def teardown() -> None:
+            try:
+                shutdown_worker_pool()
+            except Exception as error:  # pragma: no cover - failure aid
+                errors.append(error)
+
+        thread = threading.Thread(target=teardown, daemon=True)
+        thread.start()
+        thread.join(timeout=budget)
+        elapsed = time.monotonic() - start
+        assert not thread.is_alive(), "suspect-pool teardown hung"
+        assert errors == []
+        assert elapsed < budget
+        assert [h.name for h in handlers if h.is_alive()] == []
+        assert [w.pid for w in workers if w.is_alive()] == []
+        assert worker_pool_pids() == ()
 
     def test_suspect_shutdown_survives_result_lock_holder(self):
         """Tearing down a suspect pool can't hang on the result queue.
