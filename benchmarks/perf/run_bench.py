@@ -225,7 +225,6 @@ def run_benchmarks(
 
     from repro.experiments import figure12
     from repro.experiments.grid import run_grid
-    from repro.sim import pipeline as sim_pipeline
     from repro.sim.cache import clear_simulation_cache
     from repro.sim.pipeline import (
         KernelTiming,
@@ -365,18 +364,7 @@ def run_benchmarks(
             clear_simulation_cache()
             return figure12.run()
 
-        after = best_of(figure_cold, max(repeats // 4, 3))
-
-        def figure_reference():
-            clear_simulation_cache()
-            sim_pipeline.FORCE_REFERENCE_ENGINE = True
-            try:
-                return figure12.run()
-            finally:
-                sim_pipeline.FORCE_REFERENCE_ENGINE = False
-
-        before = best_of(figure_reference, max(repeats // 4, 3))
-        add("figure12_sweep", after, before)
+        add("figure12_sweep", best_of(figure_cold, max(repeats // 4, 3)), None)
 
     # --- streaming engine: time to first result vs full sweep ----------
     if want("figure12_time_to_first_result"):

@@ -18,15 +18,15 @@ example demonstrates the three things that buys you:
 3. **early exit** — breaking out of the stream cancels every cell that
    has not been dispatched yet.
 
-A note on batching: batchable specs (the grid is one) default to
-*cross-cell batched* execution — shape-compatible cells are simulated
-as one stacked NumPy pass that seeds the cache, and the per-cell tasks
-then stream warm hits. Records, ordering, and emitted rows are
+A note on batching: a batchable spec (the grid is one) run serially
+(``--jobs 1``) stacks its cells by default — shape-compatible cells are
+simulated as one NumPy pass that seeds the cache, and the per-cell
+tasks then stream warm hits. Records, ordering, and emitted rows are
 bit-identical either way; what changes is the latency profile (the
 stack computes before the first yield, trading time-to-first-result
-for total wall time). The latency demos below pass ``batch=False`` to
-show the per-cell profile; drop it — or set ``REPRO_NO_BATCH=1`` /
-use the CLI's ``--no-batch`` for the reverse — to compare.
+for total wall time). A pool sweep (``--jobs`` > 1) always runs one
+task per cell. The latency demos below pass ``batch=False`` to show the
+per-cell profile at any ``--jobs``; drop it to compare.
 """
 
 import argparse

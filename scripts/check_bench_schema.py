@@ -13,7 +13,8 @@ check pins the contract:
   (``run_bench.KNOWN_BENCHMARKS``) and every known anchor is recorded;
 * every entry has a finite, positive ``after_s``;
 * anchors whose regression gate reads more fields than ``after_s``
-  (``ANCHOR_REQUIRED_FIELDS``) carry all of them;
+  (``ANCHOR_REQUIRED_FIELDS``) carry all of them, and no anchor carries
+  a field whose producer is gone (``RETIRED_FIELDS``);
 * every numeric field in every entry is finite and non-negative, and
   coalescing rates stay within [0, 1].
 
@@ -61,6 +62,12 @@ ANCHOR_REQUIRED_FIELDS: Dict[str, "tuple[str, ...]"] = {
     "disk_index_attach": (
         "stat_walk_s", "index_attach_speedup", "entries",
     ),
+}
+
+#: Fields the harness no longer produces, per anchor: a report that
+#: still carries one was recorded by older harness code.
+RETIRED_FIELDS: Dict[str, "tuple[str, ...]"] = {
+    "figure12_sweep": ("before_s", "speedup_vs_reference_loop"),
 }
 
 #: Fields that are rates/fractions of a coalescing total and therefore
@@ -116,6 +123,12 @@ def _validate_entry(name: str, entry: Any) -> List[str]:
     for key in required:
         if key not in entry:
             problems.append(f"{name}: missing required field {key!r}")
+    for key in RETIRED_FIELDS.get(name, ()):
+        if key in entry:
+            problems.append(
+                f"{name}: retired field {key!r} (re-record with "
+                "run_bench.py)"
+            )
     for field, value in sorted(entry.items()):
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             problems.append(

@@ -204,11 +204,6 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
     # One emitter across every streamed scenario in the invocation
     # (prefer .jsonl when mixing scenarios — CSV keeps one header).
     emitter = sweepspec.open_emitter(args.out) if args.out else None
-    # --no-batch flips the process-wide default so buffered harnesses
-    # (which call the sweep entry points internally) honour it too.
-    previous_batching = (
-        sweepspec.set_batching_enabled(False) if args.no_batch else None
-    )
     try:
         for name in names:
             scenario = sweepspec.find_scenario(name)
@@ -235,8 +230,6 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
                 print(result.format_table())
                 print()
     finally:
-        if previous_batching is not None:
-            sweepspec.set_batching_enabled(previous_batching)
         if emitter is not None:
             emitter.close()
     return 0
@@ -283,7 +276,6 @@ def _simulate_report(task) -> str:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     from repro.experiments.parallel import parallel_map
-    from repro.experiments.sweepspec import batching_enabled
 
     _configure_cache(args)
     system = _system_for(args.memory, args.cores)
@@ -298,10 +290,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
          args.gantt)
         for scheme in schemes
     ]
-    if (
-        len(tasks) > 1
-        and batching_enabled(False if args.no_batch else None)
-    ):
+    if len(tasks) > 1:
         # Seed the cache with one stacked scan across the schemes; the
         # per-task lookups below (and in forked workers, which inherit
         # the parent cache) then hit warm.
@@ -626,9 +615,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--jobs", type=int, default=1, metavar="N",
             help="fork N workers for independent configurations and merge "
-                 "their simulation caches on join (default: 1 = serial, "
-                 "0 = one worker per CPU); the pool persists across "
-                 "sweeps within one invocation",
+                 "their simulation caches on join, one pool task per "
+                 "configuration (default: 1 = serial, which stacks "
+                 "compatible simulations into one pass; 0 = one worker "
+                 "per CPU); the pool persists across sweeps within one "
+                 "invocation",
         )
 
     def add_cache_dir(p: argparse.ArgumentParser) -> None:
@@ -637,15 +628,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="spill simulation results to a disk cache at PATH "
                  "(created if missing) and replay them on later runs; "
                  "defaults to $REPRO_CACHE_DIR, unset = memory-only",
-        )
-
-    def add_no_batch(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--no-batch", action="store_true",
-            help="disable cross-cell batched simulation and run every "
-                 "configuration through the per-cell scan (results are "
-                 "bit-identical either way; REPRO_NO_BATCH=1 is the "
-                 "environment equivalent)",
         )
 
     p_exp = sub.add_parser(
@@ -676,7 +658,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_jobs(p_exp)
     add_cache_dir(p_exp)
-    add_no_batch(p_exp)
     p_exp.set_defaults(func=_cmd_experiments)
 
     p_sim = sub.add_parser(
@@ -700,7 +681,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="render an ASCII Gantt window of TILES tiles")
     add_jobs(p_sim)
     add_cache_dir(p_sim)
-    add_no_batch(p_sim)
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_llm = sub.add_parser("llm", help="LLM next-token latency")

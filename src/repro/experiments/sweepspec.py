@@ -52,7 +52,7 @@ import csv
 import dataclasses
 import itertools
 import json
-import os
+import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import (
@@ -70,7 +70,7 @@ from typing import (
 )
 
 from repro.errors import ConfigurationError
-from repro.experiments.parallel import stream_map
+from repro.experiments.parallel import resolve_jobs, stream_map
 
 #: A progress callback: called as ``progress(completed, total)`` after
 #: each cell finishes (completion order, not index order).
@@ -104,33 +104,6 @@ class CellResult:
 # Cross-cell batching
 # ---------------------------------------------------------------------
 
-_BATCHING_ENABLED = True
-
-
-def set_batching_enabled(enabled: bool) -> bool:
-    """Flip the process-wide batching default; returns the previous value."""
-    global _BATCHING_ENABLED
-    previous = _BATCHING_ENABLED
-    _BATCHING_ENABLED = bool(enabled)
-    return previous
-
-
-def batching_enabled(override: Optional[bool] = None) -> bool:
-    """Whether batched sweep execution is active.
-
-    Precedence: an explicit ``override`` (a ``batch=`` argument) wins;
-    else the ``REPRO_NO_BATCH`` environment escape (any value other
-    than empty or ``"0"`` disables batching, mirroring the
-    ``FORCE_REFERENCE_ENGINE``-style escapes); else the process-wide
-    flag set by :func:`set_batching_enabled`.
-    """
-    if override is not None:
-        return bool(override)
-    env = os.environ.get("REPRO_NO_BATCH", "")
-    if env and env != "0":
-        return False
-    return _BATCHING_ENABLED
-
 
 @dataclass(frozen=True)
 class BatchRule:
@@ -138,8 +111,8 @@ class BatchRule:
 
     ``sims(payload)`` returns the ``(system, timing, tiles)`` triples
     the cell's task will request through the cached simulation front
-    door. The batched executor collects the triples across cells,
-    stacks shape-compatible ones through
+    door. A serial sweep collects the triples across cells, stacks
+    shape-compatible ones through
     :func:`repro.sim.pipeline.simulate_tile_stream_batch` (which fans
     the results into the cache under each cell's own key), and then
     runs the tasks unchanged — every task's own lookup is a warm hit,
@@ -156,23 +129,6 @@ def batchable(
 ) -> BatchRule:
     """Annotate a spec with its cell → simulations mapping."""
     return BatchRule(sims=sims)
-
-
-def _run_batched_group(payload):
-    """Pool task for one cell chunk: seed the stack, then run the cells.
-
-    Runs inside a forked worker (or in-parent under the serial
-    degradation contract): the chunk's simulations are stacked into the
-    worker's cache first, then the per-cell tasks run against that warm
-    cache. The worker's cache delta ships back to the parent exactly
-    like any other pool task's.
-    """
-    task, sims, chunk = payload
-    if sims:
-        from repro.sim.pipeline import simulate_tile_stream_batch
-
-        simulate_tile_stream_batch(sims, resolve_cached=False)
-    return [task(cell) for cell in chunk]
 
 
 def _default_rows(cell: CellResult) -> Iterable[Dict[str, Any]]:
@@ -284,7 +240,7 @@ class SweepSpec:
         self,
         jobs: Optional[int] = 1,
         progress: Optional[ProgressCallback] = None,
-        batch: Optional[bool] = None,
+        batch: bool = True,
         deadline: Optional[float] = None,
     ) -> Iterator[CellResult]:
         """Yield one :class:`CellResult` per cell, in index order.
@@ -299,108 +255,45 @@ class SweepSpec:
         sweep stops dispatching within one cell and raises
         :class:`repro.errors.DeadlineExceededError`.
 
-        Specs carrying a :func:`batchable` annotation route through the
-        cross-cell batched executor when batching is active (``batch``
-        overrides :func:`batching_enabled`): compatible cells' stacks
-        are simulated in bulk and the per-cell tasks then run against
-        the warm cache — results, ordering, and emission are
-        bit-identical to the per-cell path.
+        Specs carrying a :func:`batchable` annotation stack their cells
+        when the sweep runs serially (``jobs`` resolves to 1) and
+        ``batch`` is true: one in-parent stack over every cell's
+        simulations seeds the cache, then the serial loop runs the
+        tasks against the warm cache — results, ordering, and emission
+        are bit-identical to the per-cell path. A pool sweep dispatches
+        one task per cell. ``batch=False`` keeps a serial sweep per
+        cell, so its first row lands before the rest of the grid
+        computes.
         """
         coords = self.coords()
         cells = self.cells(coords)
-        sims_per_cell = None
-        if self.batchable is not None:
-            sims_per_cell = [
-                tuple(self.batchable.sims(cell)) for cell in cells
-            ]
         if (
-            sims_per_cell is not None
+            batch
+            and self.batchable is not None
             and len(cells) > 1
-            and batching_enabled(batch)
-            and any(sims_per_cell)
+            and resolve_jobs(jobs, len(cells)) <= 1
+            # An expired sweep raises at its first cell; seeding would
+            # compute the whole stack first.
+            and (deadline is None or time.monotonic() < deadline)
         ):
-            yield from self._stream_batched(
-                coords, cells, sims_per_cell, jobs, progress,
-                deadline=deadline,
-            )
-            return
+            from repro.sim.pipeline import simulate_tile_stream_batch
+
+            sims = [
+                sim for cell in cells for sim in self.batchable.sims(cell)
+            ]
+            if sims:
+                simulate_tile_stream_batch(sims, resolve_cached=False)
         for index, value in stream_map(
             self.task, cells, jobs=jobs, progress=progress,
             deadline=deadline,
         ):
             yield CellResult(index=index, coords=coords[index], value=value)
 
-    def _stream_batched(
-        self,
-        coords: List[Dict[str, Any]],
-        cells: List[Any],
-        sims_per_cell: List[Tuple[Tuple[Any, Any, int], ...]],
-        jobs: Optional[int],
-        progress: Optional[ProgressCallback],
-        deadline: Optional[float] = None,
-    ) -> Iterator[CellResult]:
-        """The batched executor behind :meth:`stream`.
-
-        Serial (resolved ``jobs <= 1``): one in-parent stack over every
-        cell's simulations seeds the cache, then the plain serial
-        stream runs — per-cell streaming order and emission unchanged.
-        Parallel: the grid splits into one contiguous chunk per worker,
-        each dispatched as a single :func:`_run_batched_group` pool
-        task (stack, then cells); chunk results are split back into
-        per-cell :class:`CellResult`s in index order.
-        """
-        from repro.experiments.parallel import resolve_jobs
-
-        total = len(cells)
-        n_jobs = resolve_jobs(jobs, total)
-        if n_jobs <= 1:
-            from repro.sim.pipeline import simulate_tile_stream_batch
-
-            flat = [sim for sims in sims_per_cell for sim in sims]
-            if flat:
-                simulate_tile_stream_batch(flat, resolve_cached=False)
-            for index, value in stream_map(
-                self.task, cells, jobs=1, progress=progress,
-                deadline=deadline,
-            ):
-                yield CellResult(
-                    index=index, coords=coords[index], value=value
-                )
-            return
-        payloads = []
-        starts = []
-        step, remainder = divmod(total, n_jobs)
-        start = 0
-        for chunk_index in range(n_jobs):
-            size = step + (1 if chunk_index < remainder else 0)
-            chunk = cells[start:start + size]
-            sims = [
-                sim
-                for per_cell in sims_per_cell[start:start + size]
-                for sim in per_cell
-            ]
-            payloads.append((self.task, sims, chunk))
-            starts.append(start)
-            start += size
-        completed = 0
-        for chunk_index, values in stream_map(
-            _run_batched_group, payloads, jobs=n_jobs, deadline=deadline,
-        ):
-            base = starts[chunk_index]
-            for offset, value in enumerate(values):
-                index = base + offset
-                yield CellResult(
-                    index=index, coords=coords[index], value=value
-                )
-            completed += len(values)
-            if progress is not None:
-                progress(completed, total)
-
     def run(
         self,
         jobs: Optional[int] = 1,
         progress: Optional[ProgressCallback] = None,
-        batch: Optional[bool] = None,
+        batch: bool = True,
     ) -> Any:
         """Drain the stream and reduce — the buffered entry-point path."""
         results = [
@@ -501,7 +394,7 @@ class CompositeSweep:
         self,
         jobs: Optional[int] = 1,
         progress: Optional[ProgressCallback] = None,
-        batch: Optional[bool] = None,
+        batch: bool = True,
         deadline: Optional[float] = None,
     ) -> Iterator[CellResult]:
         """Yield every sub-sweep's cells in order, globally re-indexed."""
@@ -575,7 +468,7 @@ class CompositeSweep:
         self,
         jobs: Optional[int] = 1,
         progress: Optional[ProgressCallback] = None,
-        batch: Optional[bool] = None,
+        batch: bool = True,
     ) -> CompositeResult:
         """Drain the chained stream and reduce every section."""
         results = [
@@ -785,7 +678,7 @@ def stream_to_emitter(
     jobs: Optional[int] = 1,
     progress: Optional[ProgressCallback] = None,
     on_cell: Optional[Callable[[CellResult], None]] = None,
-    batch: Optional[bool] = None,
+    batch: bool = True,
 ) -> Any:
     """Stream a spec, emitting rows per cell, and return the reduced output.
 

@@ -33,7 +33,7 @@ from repro.sim.cache import (
     simulation_cache_stats,
 )
 from repro.sim.diskcache import DiskCache, DiskCacheStats, open_disk_cache
-from repro.sim.memory import MemoryChannel, SharedMemoryServer, WaveBlockScan
+from repro.sim.memory import MemoryChannel, WaveBlockScan
 from repro.sim.noc import MeshNoc, spr_mesh
 from repro.sim.engine import EventEngine
 from repro.sim.pipeline import (
@@ -65,7 +65,6 @@ __all__ = [
     "DiskCacheStats",
     "open_disk_cache",
     "MemoryChannel",
-    "SharedMemoryServer",
     "WaveBlockScan",
     "MeshNoc",
     "spr_mesh",

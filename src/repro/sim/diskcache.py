@@ -120,18 +120,6 @@ _PICKLE_PROTOCOL = 4
 #: without amortizing anything).
 PACK_MIN_ENTRIES = 8
 
-#: Environment escape hatch: any value other than empty or ``"0"``
-#: routes every delta commit through the per-entry path (mirrors
-#: ``REPRO_NO_BATCH``).
-PACK_DISABLE_ENV = "REPRO_NO_PACK"
-
-
-def packing_enabled() -> bool:
-    """Whether delta commits may use the pack format."""
-    env = os.environ.get(PACK_DISABLE_ENV, "")
-    return not env or env == "0"
-
-
 def _update_hash(hasher: "hashlib._Hash", value: Any) -> None:
     """Feed one key component into ``hasher``, canonically.
 
@@ -546,13 +534,12 @@ class DiskCache:
 
         Entries already on disk (either format) are skipped exactly as
         :meth:`store` skips them. When enough new entries remain
-        (:data:`PACK_MIN_ENTRIES`) and packing is not disabled
-        (:data:`PACK_DISABLE_ENV`), the whole delta lands as **one**
+        (:data:`PACK_MIN_ENTRIES`), the whole delta lands as **one**
         pack file — one buffered write, one ``fsync``, one rename, one
         manifest append — instead of N ``tmp+rename`` round-trips.
-        Small deltas, disabled packing, or a pack-write failure fall
-        back to the per-entry path; either way the loaded-back bytes
-        are identical (the pack payload *is* the loose pickle).
+        Small deltas or a pack-write failure fall back to the per-entry
+        path; either way the loaded-back bytes are identical (the pack
+        payload *is* the loose pickle).
         """
         fresh: List[Tuple[str, Hashable, Any]] = []
         seen: set = set()
@@ -571,7 +558,7 @@ class DiskCache:
             fresh.append((digest, key, value))
         if not fresh:
             return 0
-        if len(fresh) < PACK_MIN_ENTRIES or not packing_enabled():
+        if len(fresh) < PACK_MIN_ENTRIES:
             return sum(
                 1 for _digest, key, value in fresh if self.store(key, value)
             )

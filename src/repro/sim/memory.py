@@ -1,27 +1,19 @@
-"""Memory-system models: a per-core fair-share channel and a shared server.
+"""Memory-system model: a per-core fair-share channel and its wave scan.
 
-Two levels of fidelity are provided:
+* :class:`MemoryChannel` — all cores in the evaluated workloads are
+  symmetric, so each one sees ``MBW / cores`` of bandwidth in steady
+  state; a single-core simulation against this channel is exact for
+  throughput and far cheaper than a full multi-core event simulation.
+* :class:`WaveBlockScan` — the channel's block-scan cursor
+  (:meth:`MemoryChannel.wave_scan`). It services the exact multi-core
+  backend's 2-D ``(wave, core)`` request matrices, any number of
+  interleaved waves per call, in one vectorized FIFO pass.
 
-* :class:`MemoryChannel` — the fast path. All cores in the evaluated
-  workloads are symmetric, so each one sees ``MBW / cores`` of bandwidth in
-  steady state; a single-core simulation against this channel is exact for
-  throughput and far cheaper than a full multi-core event simulation. Its
-  batched :meth:`MemoryChannel.request_many` scan services ad-hoc request
-  batches, and its :meth:`MemoryChannel.wave_scan` block-scan API services
-  the exact multi-core backend's 2-D ``(wave, core)`` request matrices —
-  any number of interleaved waves per call — in one vectorized pass.
-* :class:`SharedMemoryServer` — an event-ordered FIFO bandwidth server that
-  resolves arbitrarily ordered cross-core requests with a heap. Retained as
-  the reference formulation the batched wave scan is validated against in
-  the tests.
-
-Both track busy cycles so memory utilization (Table 3) can be reported.
+The channel tracks busy cycles so memory utilization (Table 3) can be
+reported.
 """
 
 from __future__ import annotations
-
-import heapq
-from typing import List, Tuple
 
 import numpy as np
 
@@ -67,47 +59,6 @@ class MemoryChannel:
         self._free_at = start + service
         self._busy_cycles += service
         return self._free_at + exposed_latency * self.latency_cycles
-
-    def request_many(
-        self,
-        issue_cycles: np.ndarray,
-        nbytes: np.ndarray,
-        exposed_latency: float = 0.0,
-    ) -> np.ndarray:
-        """Issue a batch of reads in order; returns per-request data-ready cycles.
-
-        Equivalent to calling :meth:`request` once per element, but computed
-        as one array scan. The FIFO recurrence
-
-            free[i] = max(issue[i], free[i-1]) + service[i]
-
-        is evaluated in relative coordinates: with ``C`` the running cumsum
-        of service times, ``free[i] = C[i] + max_{j<=i}(issue[j] - C[j-1])``
-        (clamped below by the channel's current ``free_at``). The scan is a
-        single ``np.maximum.accumulate`` pass. Results match the scalar path
-        to within reassociation rounding (identical when the recurrence is
-        evaluated in the same relative coordinates).
-        """
-        issue_cycles = np.asarray(issue_cycles, dtype=float)
-        nbytes = np.asarray(nbytes, dtype=float)
-        if issue_cycles.shape != nbytes.shape:
-            raise SimulationError("issue_cycles and nbytes must align")
-        if nbytes.size == 0:
-            return np.zeros(0)
-        if np.any(nbytes < 0):
-            raise SimulationError("request size must be non-negative")
-        if not 0.0 <= exposed_latency <= 1.0:
-            raise SimulationError("exposed_latency must be in [0, 1]")
-        service = nbytes / self.bytes_per_cycle
-        cum = np.cumsum(service)
-        cum_prev = np.concatenate(([0.0], cum[:-1]))
-        peak = np.maximum.accumulate(
-            np.maximum(issue_cycles - cum_prev, self._free_at)
-        )
-        free = peak + cum
-        self._free_at = float(free[-1])
-        self._busy_cycles += float(cum[-1])
-        return free + exposed_latency * self.latency_cycles
 
     def wave_scan(
         self,
@@ -253,175 +204,3 @@ class WaveBlockScan:
         self._channel._busy_cycles += float(self._cum[self._cursor - 1] - start_cum)
         self._channel_free = self._channel._free_at
         return ready.reshape(issue_matrix.shape)
-
-
-class BatchWaveScan:
-    """A stack of independent :class:`WaveBlockScan` FIFOs, one per row.
-
-    The batched multi-core engine simulates many shape-compatible sweep
-    cells at once; each cell has its *own* shared memory server (cells
-    never exchange traffic), so the stacked scan is simply ``rows``
-    per-cell scans evaluated in one NumPy pass per drain, with the wave
-    axis as axis 1. Every row's service cumsum is built with exactly the
-    per-cell constructor's arithmetic — including the uniform-stream
-    fast path — and every drain applies the per-cell relative-coordinate
-    algebra along its row, so row ``r`` of a drain is bit-identical to
-    the same drain through a dedicated :class:`WaveBlockScan`.
-
-    Unlike the per-cell scan this one does not wrap live
-    :class:`MemoryChannel` objects: nothing downstream of the batched
-    engine reads channel state, so the per-row ``bytes_per_cycle`` /
-    ``latency_cycles`` scalars are carried directly.
-    """
-
-    def __init__(
-        self,
-        bytes_per_cycle: np.ndarray,
-        latency_cycles: np.ndarray,
-        nbytes_per_wave: np.ndarray,
-        lanes: int,
-        exposed_latency: np.ndarray,
-    ) -> None:
-        if lanes < 1:
-            raise SimulationError("wave scan needs at least one lane")
-        bytes_per_cycle = np.asarray(bytes_per_cycle, dtype=float).ravel()
-        latency_cycles = np.asarray(latency_cycles, dtype=float).ravel()
-        exposed_latency = np.asarray(exposed_latency, dtype=float).ravel()
-        nbytes_per_wave = np.asarray(nbytes_per_wave, dtype=float)
-        if nbytes_per_wave.ndim != 2:
-            raise SimulationError("stacked wave bytes must be (rows, waves)")
-        rows = nbytes_per_wave.shape[0]
-        if not (
-            bytes_per_cycle.size == latency_cycles.size
-            == exposed_latency.size == rows
-        ):
-            raise SimulationError("per-row channel parameters must align")
-        if np.any(bytes_per_cycle <= 0):
-            raise SimulationError("bytes_per_cycle must be positive")
-        if np.any(latency_cycles < 0):
-            raise SimulationError("latency_cycles must be non-negative")
-        if np.any(nbytes_per_wave < 0):
-            raise SimulationError("request size must be non-negative")
-        if np.any((exposed_latency < 0.0) | (exposed_latency > 1.0)):
-            raise SimulationError("exposed_latency must be in [0, 1]")
-        self._lanes = int(lanes)
-        cums = []
-        cum_prevs = []
-        for r in range(rows):
-            # Exactly the per-cell WaveBlockScan construction, row by
-            # row: a row that would take the uniform fast path alone
-            # takes it here too, so the cumsum floats are identical.
-            service = nbytes_per_wave[r] / bytes_per_cycle[r]
-            n = service.size * self._lanes
-            if service.size and np.all(service == service[0]):
-                cums.append(np.arange(1, n + 1) * float(service[0]))
-                cum_prevs.append(np.arange(n) * float(service[0]))
-            else:
-                flat = np.repeat(service, self._lanes)
-                cum = np.cumsum(flat)
-                cums.append(cum)
-                cum_prevs.append(np.concatenate(([0.0], cum[:-1])))
-        self._cum = np.stack(cums) if rows else np.zeros((0, 0))
-        self._cum_prev = np.stack(cum_prevs) if rows else np.zeros((0, 0))
-        self._cum_exposed = (
-            self._cum + (exposed_latency * latency_cycles)[:, None]
-        )
-        self._rows = rows
-        self._cursor = 0
-        self._peak = np.zeros(rows)
-
-    @property
-    def waves_remaining(self) -> int:
-        """Waves not yet drained (identical across rows)."""
-        return (self._cum.shape[1] - self._cursor) // self._lanes
-
-    def drain(self, issue_matrix: np.ndarray) -> np.ndarray:
-        """Service the next waves on every row; per-request ready times.
-
-        ``issue_matrix`` is ``(rows, waves, lanes)``, each row's waves
-        already ordered the way its FIFO should see them. Returns the
-        same shape.
-        """
-        issue_matrix = np.asarray(issue_matrix, dtype=float)
-        if (
-            issue_matrix.ndim != 3
-            or issue_matrix.shape[0] != self._rows
-            or issue_matrix.shape[2] != self._lanes
-        ):
-            raise SimulationError(
-                f"issue matrix must be ({self._rows}, waves, {self._lanes})"
-                f", got {issue_matrix.shape}"
-            )
-        n = issue_matrix.shape[1] * self._lanes
-        if self._cursor + n > self._cum.shape[1]:
-            raise SimulationError(
-                "wave scan drained past the end of its request stream"
-            )
-        window = slice(self._cursor, self._cursor + n)
-        slack = issue_matrix.reshape(self._rows, -1) - self._cum_prev[:, window]
-        np.maximum(slack, self._peak[:, None], out=slack)
-        np.maximum.accumulate(slack, axis=1, out=slack)
-        self._peak = slack[:, -1].copy()
-        ready = slack + self._cum_exposed[:, window]
-        self._cursor += n
-        return ready.reshape(issue_matrix.shape)
-
-
-class SharedMemoryServer:
-    """Event-ordered FIFO bandwidth server shared by many cores.
-
-    Requests are serviced in arrival order at the aggregate bandwidth.
-    Because completion times feed back into future issue times, callers
-    must issue requests in nondecreasing ``issue_cycle`` order *per core*;
-    cross-core ordering is resolved with an internal heap.
-    """
-
-    def __init__(self, bytes_per_cycle: float, latency_cycles: float) -> None:
-        if bytes_per_cycle <= 0:
-            raise SimulationError("bytes_per_cycle must be positive")
-        self.bytes_per_cycle = bytes_per_cycle
-        self.latency_cycles = latency_cycles
-        self._free_at = 0.0
-        self._busy_cycles = 0.0
-        self._pending: List[Tuple[float, int, float, float]] = []
-        self._sequence = 0
-
-    def enqueue(
-        self, issue_cycle: float, nbytes: float, exposed_latency: float = 0.0
-    ) -> int:
-        """Queue a request; returns a ticket used to read the completion."""
-        ticket = self._sequence
-        self._sequence += 1
-        heapq.heappush(
-            self._pending, (issue_cycle, ticket, nbytes, exposed_latency)
-        )
-        return ticket
-
-    def drain(self) -> dict:
-        """Service every queued request in issue order.
-
-        Returns a dict mapping tickets to completion cycles. Draining in
-        batches is exact as long as no future request could have been
-        issued earlier than the latest queued one — the tile-stream
-        simulator guarantees this by draining once per simulation.
-        """
-        completions = {}
-        while self._pending:
-            issue, ticket, nbytes, exposed = heapq.heappop(self._pending)
-            start = max(issue, self._free_at)
-            service = nbytes / self.bytes_per_cycle
-            self._free_at = start + service
-            self._busy_cycles += service
-            completions[ticket] = self._free_at + exposed * self.latency_cycles
-        return completions
-
-    @property
-    def busy_cycles(self) -> float:
-        """Total cycles spent transferring data."""
-        return self._busy_cycles
-
-    def utilization(self, makespan_cycles: float) -> float:
-        """Fraction of the makespan the server was busy."""
-        if makespan_cycles <= 0:
-            raise SimulationError("makespan must be positive")
-        return min(1.0, self._busy_cycles / makespan_cycles)

@@ -65,7 +65,7 @@ def test_nan_timing_flagged():
 
 def test_negative_timing_flagged():
     document = _valid_document()
-    document["benchmarks"]["figure12_sweep"]["before_s"] = -1.0
+    document["benchmarks"]["figure12_sweep"]["seed_s"] = -1.0
     problems = check_bench_schema.validate_document(document)
     assert any("negative" in p for p in problems)
 
@@ -99,6 +99,16 @@ def test_anchor_specific_required_field_flagged():
     problems = check_bench_schema.validate_document(document)
     assert any(
         "serve_coalesced_8x" in p and "coalesced_hit_rate" in p
+        for p in problems
+    )
+
+
+def test_retired_field_flagged():
+    document = _valid_document()
+    document["benchmarks"]["figure12_sweep"]["before_s"] = 0.04
+    problems = check_bench_schema.validate_document(document)
+    assert any(
+        "figure12_sweep" in p and "retired field 'before_s'" in p
         for p in problems
     )
 

@@ -180,15 +180,6 @@ class TestPackFormat:
         assert disk.stats().pack_commits == 0
         assert not list(pack_dir(disk.schema_dir).glob("*.pack"))
 
-    def test_no_pack_env_escape(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_PACK", "1")
-        entries = _entries(PACK_MIN_ENTRIES, tag=270.0)
-        disk = DiskCache(tmp_path)
-        assert disk.store_batch(entries) == len(entries)
-        assert disk.stats().pack_commits == 0
-        for key, value in entries:
-            assert results_bit_equal(disk.load(key), value)
-
     def test_scan_pack_yields_intact_prefix_of_torn_pack(self, tmp_path):
         digests = [f"{i:064x}" for i in range(4)]
         payloads = [(d, os.urandom(64)) for d in digests]

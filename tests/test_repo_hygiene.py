@@ -1,4 +1,5 @@
-"""Tier-1 hygiene gates: no compiled artifacts tracked in git.
+"""Tier-1 hygiene gates: no compiled artifacts tracked in git, and no
+new ``REPRO_*`` environment switches in the package.
 
 Runs :mod:`scripts.check_no_pyc` as part of the regular suite so a
 ``git add -A`` that sweeps in ``__pycache__/`` fails fast (it happened
@@ -6,6 +7,7 @@ once — PR 2).
 """
 
 import pathlib
+import re
 import sys
 
 import pytest
@@ -52,3 +54,30 @@ def test_detector_flags_egg_info():
         "src/repro.egg-info/PKG-INFO",
         "src/repro.egg-info/SOURCES.txt",
     ]
+
+
+#: The environment variables the package may read. Each one configures
+#: behaviour (a cache location, a budget, a socket, a grace period); a
+#: switch that only picks between two bit-identical paths does not
+#: belong here.
+ALLOWED_ENV_NAMES = {
+    "REPRO_CACHE_DIR",
+    "REPRO_CACHE_MAX_BYTES",
+    "REPRO_SERVE_SOCKET",
+    "REPRO_WORKER_LOSS_GRACE_S",
+}
+
+
+def test_no_new_env_switches():
+    found = {}
+    for path in sorted((_REPO_ROOT / "src" / "repro").rglob("*.py")):
+        for name in re.findall(r"REPRO_[A-Z_]+", path.read_text("utf-8")):
+            found.setdefault(name, path.relative_to(_REPO_ROOT).as_posix())
+    unexpected = {
+        name: where for name, where in found.items()
+        if name not in ALLOWED_ENV_NAMES
+    }
+    assert unexpected == {}, (
+        "new REPRO_* environment names in src/repro; add a real option "
+        "or extend ALLOWED_ENV_NAMES with a reason"
+    )

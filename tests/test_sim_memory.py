@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.memory import MemoryChannel, SharedMemoryServer
+from repro.sim.memory import MemoryChannel
 
 
 class TestMemoryChannel:
@@ -49,26 +49,3 @@ class TestMemoryChannel:
         channel = MemoryChannel(4.0, 10.0)
         with pytest.raises(SimulationError):
             channel.request(0.0, 4.0, exposed_latency=1.5)
-
-
-class TestSharedMemoryServer:
-    def test_fifo_by_issue_time(self):
-        server = SharedMemoryServer(4.0, 0.0)
-        late = server.enqueue(50.0, 400.0)
-        early = server.enqueue(0.0, 400.0)
-        done = server.drain()
-        assert done[early] == pytest.approx(100.0)
-        assert done[late] == pytest.approx(200.0)
-
-    def test_aggregate_bandwidth_shared(self):
-        server = SharedMemoryServer(10.0, 0.0)
-        tickets = [server.enqueue(0.0, 100.0) for _ in range(5)]
-        done = server.drain()
-        assert max(done[t] for t in tickets) == pytest.approx(50.0)
-
-    def test_busy_accounting(self):
-        server = SharedMemoryServer(10.0, 0.0)
-        server.enqueue(0.0, 100.0)
-        server.drain()
-        assert server.busy_cycles == pytest.approx(10.0)
-        assert server.utilization(20.0) == pytest.approx(0.5)

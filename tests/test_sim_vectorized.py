@@ -150,48 +150,6 @@ class TestEngineEquivalence:
         )
 
 
-class TestRequestMany:
-    def test_matches_sequential_requests_exactly_on_integral_values(self):
-        # Integral services and issues: the relative-coordinate scan and
-        # the scalar max/add path compute identical floats.
-        batch = MemoryChannel(2.0, 100.0)
-        scalar = MemoryChannel(2.0, 100.0)
-        issues = np.array([0.0, 5.0, 6.0, 200.0, 201.0])
-        nbytes = np.array([64.0, 32.0, 128.0, 16.0, 64.0])
-        got = batch.request_many(issues, nbytes, 0.25)
-        want = [scalar.request(i, b, 0.25) for i, b in zip(issues, nbytes)]
-        np.testing.assert_array_equal(got, want)
-        assert batch.busy_cycles == scalar.busy_cycles
-
-    def test_matches_sequential_requests_on_random_values(self):
-        rng = np.random.default_rng(3)
-        batch = MemoryChannel(5.115, 317.3)
-        scalar = MemoryChannel(5.115, 317.3)
-        issues = np.cumsum(rng.uniform(0.0, 40.0, size=200))
-        nbytes = rng.uniform(1.0, 700.0, size=200)
-        got = batch.request_many(issues, nbytes, 0.08)
-        want = [scalar.request(i, b, 0.08) for i, b in zip(issues, nbytes)]
-        np.testing.assert_allclose(got, want, rtol=1e-12)
-
-    def test_state_carries_across_batches(self):
-        channel = MemoryChannel(1.0, 0.0)
-        first = channel.request_many(np.zeros(3), np.full(3, 10.0))
-        assert first.tolist() == [10.0, 20.0, 30.0]
-        second = channel.request_many(np.zeros(2), np.full(2, 5.0))
-        assert second.tolist() == [35.0, 40.0]
-
-    def test_rejects_bad_input(self):
-        from repro.errors import SimulationError
-
-        channel = MemoryChannel(1.0, 10.0)
-        with pytest.raises(SimulationError):
-            channel.request_many(np.zeros(2), np.array([1.0, -2.0]))
-        with pytest.raises(SimulationError):
-            channel.request_many(np.zeros(2), np.ones(3))
-        with pytest.raises(SimulationError):
-            channel.request_many(np.zeros(2), np.ones(2), exposed_latency=2.0)
-
-
 class TestBroadcastScalars:
     def test_numpy_scalar_types_route_to_scalar_path(self):
         for value in (3.0, np.float64(3.0), np.float32(3.0), np.array(3.0)):

@@ -2,27 +2,24 @@
 
 The engine-level bit-identity of ``simulate_tile_stream_batch`` is
 covered by ``test_sim_batched.py``; these tests pin the *routing*: a
-``SweepSpec`` carrying a :func:`batchable` annotation must produce
-exactly the records, ordering, emission rows, and cache behaviour of
-the per-cell path — with batching observable only through cache
-counters — and every escape hatch (``batch=`` argument,
-``REPRO_NO_BATCH`` env, :func:`set_batching_enabled`) must actually
-disable it.
+serial ``SweepSpec`` carrying a :func:`batchable` annotation must
+produce exactly the records, ordering, emission rows, and cache
+behaviour of the per-cell path — with batching observable only through
+cache counters — ``batch=False`` must keep it per cell, and a pool
+sweep must dispatch one task per cell.
 """
 
 import io
+import time
 
 import pytest
 
+from repro.core.schemes import parse_scheme
+from repro.errors import DeadlineExceededError
 from repro.experiments.grid import grid_spec, run_grid
-from repro.experiments.parallel import fork_available
-from repro.experiments.speedups import sweep_speedups
-from repro.experiments.sweepspec import (
-    JsonlEmitter,
-    batching_enabled,
-    set_batching_enabled,
-    stream_to_emitter,
-)
+from repro.experiments.parallel import dispatched_task_count, fork_available
+from repro.experiments.speedups import speedup_spec, sweep_speedups
+from repro.experiments.sweepspec import JsonlEmitter, stream_to_emitter
 from repro.sim.cache import clear_simulation_cache, simulation_cache_stats
 from repro.sim.system import hbm_system
 
@@ -38,33 +35,6 @@ def _fresh_cache():
 def _grid_records(batch, tiles=64, jobs=1):
     clear_simulation_cache()
     return run_grid(tiles=tiles, jobs=jobs, batch=batch)
-
-
-class TestBatchingFlag:
-    def test_default_enabled(self):
-        assert batching_enabled() is True
-
-    def test_set_batching_enabled_round_trips(self):
-        previous = set_batching_enabled(False)
-        try:
-            assert previous is True
-            assert batching_enabled() is False
-        finally:
-            set_batching_enabled(True)
-        assert batching_enabled() is True
-
-    def test_env_escape_disables(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_BATCH", "1")
-        assert batching_enabled() is False
-
-    def test_env_zero_is_not_an_escape(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_BATCH", "0")
-        assert batching_enabled() is True
-
-    def test_explicit_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_BATCH", "1")
-        assert batching_enabled(True) is True
-        assert batching_enabled(False) is False
 
 
 class TestGridRouting:
@@ -86,22 +56,6 @@ class TestGridRouting:
         stats = simulation_cache_stats()
         assert stats.misses == 48
         assert stats.hits == 0
-
-    def test_env_escape_routes_per_cell(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_BATCH", "1")
-        records = _grid_records(batch=None)
-        assert simulation_cache_stats().hits == 0
-        clear_simulation_cache()
-        monkeypatch.delenv("REPRO_NO_BATCH")
-        assert records == run_grid(tiles=64)
-
-    def test_process_flag_routes_per_cell(self):
-        set_batching_enabled(False)
-        try:
-            _grid_records(batch=None)
-            assert simulation_cache_stats().hits == 0
-        finally:
-            set_batching_enabled(True)
 
     def test_stream_preserves_index_order_and_coords(self):
         spec = grid_spec(tiles=64)
@@ -139,22 +93,45 @@ class TestSpeedupRouting:
         assert len(batched) == 12
 
 
+class TestDeadline:
+    def test_expired_deadline_computes_no_stack(self):
+        """An expired batched stream raises before seeding the stack."""
+        names = [
+            f"{bits}_{density}%"
+            for bits in ("Q4", "Q8", "Q16")
+            for density in (50, 30, 20, 10, 5)
+        ] + ["Q4", "Q8", "Q16_40%"]
+        schemes = [parse_scheme(name) for name in names]
+        moved = {}
+        for batch in (True, False):
+            clear_simulation_cache()
+            spec = speedup_spec(hbm_system(), schemes=schemes, tiles=4000)
+            before = simulation_cache_stats().misses
+            with pytest.raises(DeadlineExceededError):
+                list(spec.stream(
+                    jobs=1, batch=batch, deadline=time.monotonic() - 1,
+                ))
+            moved[batch] = simulation_cache_stats().misses - before
+        assert moved[True] <= moved[False]
+
+
+@pytest.mark.skipif(not fork_available(), reason="fork start method unavailable")
 class TestParallelRouting:
-    @pytest.mark.skipif(not fork_available(), reason="fork start method unavailable")
-    def test_chunked_pool_matches_serial(self):
+    def test_pool_dispatches_one_task_per_cell(self):
         spec = grid_spec(tiles=64)
         clear_simulation_cache()
-        serial = [(c.index, c.value) for c in spec.stream(jobs=1, batch=False)]
+        serial = [(c.index, c.value) for c in spec.stream(jobs=1)]
         clear_simulation_cache()
-        batched = [(c.index, c.value) for c in spec.stream(jobs=2, batch=True)]
-        assert batched == serial
+        before = dispatched_task_count()
+        pooled = [(c.index, c.value) for c in spec.stream(jobs=2)]
+        assert dispatched_task_count() - before == 48
+        assert pooled == serial
 
-    @pytest.mark.skipif(not fork_available(), reason="fork start method unavailable")
-    def test_chunked_pool_reports_progress(self):
+    def test_pool_reports_progress(self):
         spec = grid_spec(tiles=64)
         calls = []
         clear_simulation_cache()
-        list(spec.stream(jobs=2, batch=True,
+        list(spec.stream(jobs=2,
                          progress=lambda done, total: calls.append((done, total))))
         assert calls and calls[-1] == (48, 48)
         assert [done for done, _ in calls] == sorted(done for done, _ in calls)
