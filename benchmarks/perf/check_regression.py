@@ -173,13 +173,6 @@ RATIO_FLOORS = {
         "speedup_vs_reference_loop", 5.0,
         "the blocked event engine has degraded toward the per-wave loop",
     ),
-    # The cross-cell batched engine must stay well clear of the per-cell
-    # scan on the dispatch-bound 48-cell short-stream grid (recorded
-    # >=3x; the floor leaves jitter headroom).
-    "grid_batched_48": (
-        "batched_speedup", 2.2,
-        "cross-cell batching has degraded toward per-cell dispatch",
-    ),
     # On the paper's real 600-tile Figure 12 workload the runs are
     # work-bound and batching is ~parity (see docs/PERFORMANCE.md for
     # the tile-count decay) — this floor only catches the batched route

@@ -40,21 +40,13 @@ a deep-prefetch window of 48. The two are bit-identical; the
 ``multicore_event_64c2000`` records the large-grid anchor (64 cores ×
 2000 tiles per core) the per-wave loop made impractical to sweep.
 
-``grid_batched_48`` tracks the cross-cell batched engine
-(:func:`repro.sim.pipeline.simulate_tile_stream_batch`): a 48-cell
-all-OVERLAPPED software-kernel grid (4 systems × 12 paper schemes) at a
-short 64-tile stream, where per-cell dispatch overhead dominates the
-scan itself, timed as 48 individual ``simulate_tile_stream`` calls vs
-one stacked batch (both uncached, bit-identical results). The
-``batched_speedup`` ratio is gated against a floor; it decays toward
-1x as the tile count grows and the runs become work-bound — see
-docs/PERFORMANCE.md.
-
 ``figure12_batched`` tracks the sweep-level batching route
-(:mod:`repro.experiments.sweepspec`): the Figure 12 spec run cold with
-``batch=True`` vs ``batch=False`` at the paper's full 600-tile streams
-— the conservative end-to-end number on a real workload, gated only
-against a no-regression floor.
+(:mod:`repro.experiments.sweepspec`): the Figure 12 spec run cold as
+built (its cells seed the cache through
+:func:`repro.sim.pipeline.simulate_tile_stream_batch`) vs the same spec
+with ``batchable=None`` (cell by cell) at the paper's full 600-tile
+streams — the conservative end-to-end number on a real workload, gated
+only against a no-regression floor.
 
 ``serve_coalesced_8x`` tracks the sweep-serving daemon
 (:mod:`repro.serve`): eight clients request the identical cold Figure 12
@@ -91,6 +83,7 @@ stablest estimator for sub-millisecond kernels on a shared machine).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import pathlib
@@ -118,7 +111,6 @@ KNOWN_BENCHMARKS = (
     "figure12_sweep_parallel",
     "figure12_time_to_first_result",
     "figure12_batched",
-    "grid_batched_48",
     "dse_warm_cache",
     "disk_delta_commit",
     "disk_index_attach",
@@ -146,6 +138,11 @@ PARALLEL_SWEEP_TILES = 4000
 
 #: Pool widths recorded by the parallel sweep anchor.
 PARALLEL_SWEEP_JOBS = (1, 2, 4)
+
+
+def per_cell(spec):
+    """``spec`` without its batching annotation: a serial run cell by cell."""
+    return dataclasses.replace(spec, batchable=None)
 
 
 def best_of(fn: Callable[[], object], repeats: int) -> float:
@@ -224,7 +221,7 @@ def run_benchmarks(
         return only is None or name in only
 
     from repro.experiments import figure12
-    from repro.experiments.grid import run_grid
+    from repro.experiments.grid import grid_spec, run_grid
     from repro.sim.cache import clear_simulation_cache
     from repro.sim.pipeline import (
         KernelTiming,
@@ -374,18 +371,18 @@ def run_benchmarks(
             # Cold cache each run: the honest time-to-first-result
             # includes the spec build (which simulates the shared
             # baseline) plus the first cell — everything a consumer
-            # waits for before the first row lands. batch=False pins
+            # waits for before the first row lands. batchable=None pins
             # the per-cell streaming path this anchor has always
-            # measured (the batched route seeds the whole stack before
+            # measured (the batched route seeds the whole grid before
             # the first yield; figure12_batched tracks that trade).
             clear_simulation_cache()
-            stream = figure12.sweep_spec().stream(jobs=1, batch=False)
+            stream = per_cell(figure12.sweep_spec()).stream(jobs=1)
             next(stream)
             stream.close()
 
         def full_sweep():
             clear_simulation_cache()
-            return figure12.sweep_spec().run(jobs=1, batch=False)
+            return per_cell(figure12.sweep_spec()).run(jobs=1)
 
         reps = max(repeats // 4, 3)
         ttfr = best_of(first_result, reps)
@@ -397,58 +394,15 @@ def run_benchmarks(
             "cells": float(spec_cells),
         }
 
-    # --- cross-cell batched stack vs the per-cell scan -----------------
-    if want("grid_batched_48"):
-        from repro.core.schemes import PAPER_SCHEMES
-        from repro.kernels.libxsmm import software_kernel_timing
-        from repro.sim.pipeline import simulate_tile_stream_batch
-        from repro.sim.system import ddr_system
-
-        batch_tiles = 32 if smoke else 64
-        batch_systems = (
-            hbm_system(), ddr_system(),
-            hbm_system(cores=28), ddr_system(cores=28),
-        )
-        batch_cells = [
-            (sys_, software_kernel_timing(sys_, scheme), batch_tiles)
-            for sys_ in batch_systems
-            for scheme in PAPER_SCHEMES
-        ]
-
-        def batch_per_cell():
-            return [
-                simulate_tile_stream(s, t, n, use_cache=False)
-                for s, t, n in batch_cells
-            ]
-
-        def batch_stacked():
-            return simulate_tile_stream_batch(batch_cells, use_cache=False)
-
-        reps = reps_for(max(repeats // 2, 5))
-        after = best_of(batch_stacked, reps)
-        before = best_of(batch_per_cell, reps)
-        # Bit-identity is the contract (tests pin the full traces); a
-        # makespan check here keeps the anchor itself honest.
-        assert [r.makespan_cycles for r in batch_stacked()] == [
-            r.makespan_cycles for r in batch_per_cell()
-        ], "batched grid diverged from the per-cell scan"
-        results["grid_batched_48"] = {
-            "after_s": after,
-            "per_cell_s": before,
-            "batched_speedup": before / after,
-            "cells": float(len(batch_cells)),
-            "tiles": float(batch_tiles),
-        }
-
     # --- sweep-level batching on the real Figure 12 workload -----------
     if want("figure12_batched"):
         def figure_batched():
             clear_simulation_cache()
-            return figure12.sweep_spec().run(jobs=1, batch=True)
+            return figure12.sweep_spec().run(jobs=1)
 
         def figure_per_cell():
             clear_simulation_cache()
-            return figure12.sweep_spec().run(jobs=1, batch=False)
+            return per_cell(figure12.sweep_spec()).run(jobs=1)
 
         reps = reps_for(max(repeats // 4, 3))
         after = best_of(figure_batched, reps)
@@ -477,20 +431,21 @@ def run_benchmarks(
         def grid_cold():
             # Fresh directory every repetition: the cold time includes
             # simulating all 48 cells *and* spilling them to disk.
-            # batch=False pins the per-cell path this anchor has always
-            # measured: it tracks the disk tier, and the batched route's
-            # extra membership probes would dilute the hit-rate gate.
+            # batchable=None pins the per-cell path this anchor has
+            # always measured: it tracks the disk tier, and the batched
+            # route's extra membership probes would dilute the hit-rate
+            # gate.
             shutil.rmtree(cache_root, ignore_errors=True)
             configure_simulation_cache_dir(cache_root)
             clear_simulation_cache()
-            cold_records[:] = run_grid(batch=False)
+            cold_records[:] = per_cell(grid_spec()).run(jobs=1)
             return cold_records
 
         def grid_warm():
             # The restart scenario: memory tier empty, disk tier warm.
             clear_simulation_cache()
             before = simulation_cache_stats()
-            warm_records[:] = run_grid(batch=False)
+            warm_records[:] = per_cell(grid_spec()).run(jobs=1)
             after = simulation_cache_stats()
             lookups = (
                 (after.hits - before.hits)

@@ -19,18 +19,20 @@ example demonstrates the three things that buys you:
    has not been dispatched yet.
 
 A note on batching: a batchable spec (the grid is one) run serially
-(``--jobs 1``) stacks its cells by default — shape-compatible cells are
-simulated as one NumPy pass that seeds the cache, and the per-cell
-tasks then stream warm hits. Records, ordering, and emitted rows are
-bit-identical either way; what changes is the latency profile (the
-stack computes before the first yield, trading time-to-first-result
-for total wall time). A pool sweep (``--jobs`` > 1) always runs one
-task per cell. The latency demos below pass ``batch=False`` to show the
-per-cell profile at any ``--jobs``; drop it to compare.
+(``--jobs 1``) seeds the cache first — one batched call simulates every
+cell (store+fence cells of one stream length as one stacked NumPy
+loop), and the per-cell tasks then stream warm hits. Records, ordering,
+and emitted rows are bit-identical either way; what changes is the
+latency profile (the seeding computes before the first yield, trading
+time-to-first-result for total wall time). A pool sweep (``--jobs`` >
+1) always runs one task per cell. The latency demos below stream a copy
+of the spec built with ``batchable=None`` to show the per-cell profile
+at any ``--jobs``; stream ``spec`` itself to compare.
 """
 
 import argparse
 import time
+from dataclasses import replace
 
 from repro.core.schemes import PAPER_SCHEMES
 from repro.experiments.grid import grid_spec
@@ -65,6 +67,7 @@ def main() -> None:
     )
     total = spec.cell_count
     print(f"grid spec: {total} cells ({spec.describe_axes()})")
+    per_cell = replace(spec, batchable=None)
 
     # ------------------------------------------------------------------
     # 1 + 2. Stream the grid: first result early, rows emitted per cell.
@@ -74,7 +77,7 @@ def main() -> None:
     start = time.perf_counter()
     first_at = None
     records = []
-    for cell in spec.stream(jobs=args.jobs, batch=False):
+    for cell in per_cell.stream(jobs=args.jobs):
         if first_at is None:
             first_at = time.perf_counter() - start
         records.append(cell.value)
@@ -95,7 +98,7 @@ def main() -> None:
     # ------------------------------------------------------------------
     clear_simulation_cache()
     consumed = 0
-    for cell in spec.stream(jobs=args.jobs, batch=False):
+    for cell in per_cell.stream(jobs=args.jobs):
         consumed += 1
         if consumed == 4:
             break  # closing the stream cancels outstanding dispatch

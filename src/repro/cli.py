@@ -291,14 +291,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         for scheme in schemes
     ]
     if len(tasks) > 1:
-        # Seed the cache with one stacked scan across the schemes; the
+        # Seed the cache with one batched call across the schemes; the
         # per-task lookups below (and in forked workers, which inherit
         # the parent cache) then hit warm.
         from repro.sim.pipeline import simulate_tile_stream_batch
 
         simulate_tile_stream_batch(
-            [(system, _simulate_timing(task), 600) for task in tasks],
-            resolve_cached=False,
+            [(system, _simulate_timing(task), 600) for task in tasks]
         )
     reports = parallel_map(_simulate_report, tasks, jobs=args.jobs)
     print("\n\n".join(reports))

@@ -155,7 +155,6 @@ def run_grid(
     use_cache: bool = True,
     tiles: int = 600,
     jobs: Optional[int] = 1,
-    batch: bool = True,
 ) -> List[GridRecord]:
     """Simulate every (system, scheme, engine) combination.
 
@@ -169,15 +168,13 @@ def run_grid(
     ``jobs`` selects the worker count: 1 (default) runs serial in
     process, ``N > 1`` streams the cells across ``N`` forked workers
     and merges their cache deltas as each cell lands (``None``/0 means
-    one worker per CPU). ``batch=False`` keeps a serial run from
-    stacking the cells' simulations up front (see
-    :meth:`repro.experiments.sweepspec.SweepSpec.stream`). Records are
-    bit-identical to the serial run either way.
+    one worker per CPU). Records are bit-identical to the serial run
+    either way.
     """
     return grid_spec(
         systems=systems, schemes=schemes, engines=engines,
         deca_config=deca_config, use_cache=use_cache, tiles=tiles,
-    ).run(jobs=jobs, batch=batch)
+    ).run(jobs=jobs)
 
 
 def to_csv(records: Sequence[GridRecord]) -> str:

@@ -193,19 +193,17 @@ def sweep_speedups(
     integration: Optional[DecaIntegration] = None,
     tiles: int = 600,
     jobs: Optional[int] = 1,
-    batch: bool = True,
 ) -> List[SchemeSpeedup]:
     """Speedups for a list of schemes (Figures 12/13's x axis).
 
     The buffered front door over :func:`speedup_spec`: the per-scheme
     cells stream across ``jobs`` workers (cache deltas merged as each
-    lands); ``jobs=1`` is the bit-identical serial path. ``batch=False``
-    keeps a serial run per cell instead of stacking its simulations.
+    lands); ``jobs=1`` is the bit-identical serial path.
     """
     return speedup_spec(
         system, schemes=schemes, batch_rows=batch_rows,
         deca_config=deca_config, integration=integration, tiles=tiles,
-    ).run(jobs=jobs, batch=batch)
+    ).run(jobs=jobs)
 
 
 def _speedup_table(speedups: List[SchemeSpeedup]) -> str:

@@ -111,10 +111,10 @@ class BatchRule:
 
     ``sims(payload)`` returns the ``(system, timing, tiles)`` triples
     the cell's task will request through the cached simulation front
-    door. A serial sweep collects the triples across cells, stacks
-    shape-compatible ones through
-    :func:`repro.sim.pipeline.simulate_tile_stream_batch` (which fans
-    the results into the cache under each cell's own key), and then
+    door. A serial sweep collects the triples across cells, seeds the
+    cache with them through
+    :func:`repro.sim.pipeline.simulate_tile_stream_batch` (which files
+    each result under its cell's own key), and then
     runs the tasks unchanged — every task's own lookup is a warm hit,
     so results are bit-identical to the unbatched sweep. A cell whose
     simulations cannot be pre-seeded (e.g. one that bypasses the
@@ -240,7 +240,6 @@ class SweepSpec:
         self,
         jobs: Optional[int] = 1,
         progress: Optional[ProgressCallback] = None,
-        batch: bool = True,
         deadline: Optional[float] = None,
     ) -> Iterator[CellResult]:
         """Yield one :class:`CellResult` per cell, in index order.
@@ -255,21 +254,20 @@ class SweepSpec:
         sweep stops dispatching within one cell and raises
         :class:`repro.errors.DeadlineExceededError`.
 
-        Specs carrying a :func:`batchable` annotation stack their cells
-        when the sweep runs serially (``jobs`` resolves to 1) and
-        ``batch`` is true: one in-parent stack over every cell's
-        simulations seeds the cache, then the serial loop runs the
-        tasks against the warm cache — results, ordering, and emission
-        are bit-identical to the per-cell path. A pool sweep dispatches
-        one task per cell. ``batch=False`` keeps a serial sweep per
-        cell, so its first row lands before the rest of the grid
-        computes.
+        Specs carrying a :func:`batchable` annotation seed the cache
+        when the sweep runs serially (``jobs`` resolves to 1): one
+        in-parent :func:`repro.sim.pipeline.simulate_tile_stream_batch`
+        call over every cell's simulations, then the serial loop runs
+        the tasks against the warm cache — results, ordering, and
+        emission are bit-identical to the per-cell path. A pool sweep
+        dispatches one task per cell. A spec built with
+        ``batchable=None`` runs serially cell by cell, so its first row
+        lands before the rest of the grid computes.
         """
         coords = self.coords()
         cells = self.cells(coords)
         if (
-            batch
-            and self.batchable is not None
+            self.batchable is not None
             and len(cells) > 1
             and resolve_jobs(jobs, len(cells)) <= 1
             # An expired sweep raises at its first cell; seeding would
@@ -282,7 +280,7 @@ class SweepSpec:
                 sim for cell in cells for sim in self.batchable.sims(cell)
             ]
             if sims:
-                simulate_tile_stream_batch(sims, resolve_cached=False)
+                simulate_tile_stream_batch(sims)
         for index, value in stream_map(
             self.task, cells, jobs=jobs, progress=progress,
             deadline=deadline,
@@ -293,12 +291,9 @@ class SweepSpec:
         self,
         jobs: Optional[int] = 1,
         progress: Optional[ProgressCallback] = None,
-        batch: bool = True,
     ) -> Any:
         """Drain the stream and reduce — the buffered entry-point path."""
-        results = [
-            cell.value for cell in self.stream(jobs, progress, batch=batch)
-        ]
+        results = [cell.value for cell in self.stream(jobs, progress)]
         return self.reduced(results)
 
     def reduced(self, results: List[Any]) -> Any:
@@ -394,7 +389,6 @@ class CompositeSweep:
         self,
         jobs: Optional[int] = 1,
         progress: Optional[ProgressCallback] = None,
-        batch: bool = True,
         deadline: Optional[float] = None,
     ) -> Iterator[CellResult]:
         """Yield every sub-sweep's cells in order, globally re-indexed."""
@@ -410,8 +404,7 @@ class CompositeSweep:
                 def sub_progress(done: int, _sub_total: int, _base=base):
                     progress(_base + done, total)
             for cell in spec.stream(
-                jobs=jobs, progress=sub_progress, batch=batch,
-                deadline=deadline,
+                jobs=jobs, progress=sub_progress, deadline=deadline,
             ):
                 yield CellResult(
                     index=base + cell.index,
@@ -468,12 +461,9 @@ class CompositeSweep:
         self,
         jobs: Optional[int] = 1,
         progress: Optional[ProgressCallback] = None,
-        batch: bool = True,
     ) -> CompositeResult:
         """Drain the chained stream and reduce every section."""
-        results = [
-            cell.value for cell in self.stream(jobs, progress, batch=batch)
-        ]
+        results = [cell.value for cell in self.stream(jobs, progress)]
         return self.reduced(results)
 
     def render(self, output: CompositeResult) -> str:
@@ -678,7 +668,6 @@ def stream_to_emitter(
     jobs: Optional[int] = 1,
     progress: Optional[ProgressCallback] = None,
     on_cell: Optional[Callable[[CellResult], None]] = None,
-    batch: bool = True,
 ) -> Any:
     """Stream a spec, emitting rows per cell, and return the reduced output.
 
@@ -688,7 +677,7 @@ def stream_to_emitter(
     still running.
     """
     results: List[Any] = []
-    for cell in spec.stream(jobs=jobs, progress=progress, batch=batch):
+    for cell in spec.stream(jobs=jobs, progress=progress):
         results.append(cell.value)
         if emitter is not None:
             for row in spec.rows_for(cell):

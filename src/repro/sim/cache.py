@@ -515,17 +515,6 @@ def cached_tile_stream(
     )
 
 
-def cached_simulation(key: Hashable, compute: Callable[[], Any]) -> Any:
-    """Keyed variant of :func:`cached_tile_stream`.
-
-    The batched engine builds each cell's :func:`simulation_key` once to
-    decide stack membership; this front door reuses that key for the
-    fan-in instead of freezing the timing a second time. Identical
-    lookup/miss/spill behaviour to :func:`cached_tile_stream`.
-    """
-    return _GLOBAL_CACHE.get_or_compute(key, compute)
-
-
 def insert_simulation_results(
     items: Sequence[Tuple[Hashable, Any]]
 ) -> List[Any]:
@@ -562,7 +551,7 @@ def simulation_cache_contains(key: Hashable) -> bool:
 
     See :meth:`SimulationCache.contains` — a counter-neutral probe used
     by :func:`repro.sim.pipeline.simulate_tile_stream_batch` to keep
-    cached cells out of the stacked engine pass.
+    cached cells out of its computed set.
     """
     return _GLOBAL_CACHE.contains(key)
 

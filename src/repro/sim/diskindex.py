@@ -176,7 +176,9 @@ def write_pack(
     )
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(b"".join(chunks))
+            # Chunk by chunk: joining first would hold a second copy of
+            # the whole pack in memory.
+            handle.writelines(chunks)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp_path, directory / name)

@@ -49,6 +49,11 @@ Performance architecture (docs/PERFORMANCE.md):
 * ``simulate_tile_stream`` memoizes results through
   :mod:`repro.sim.cache`, so sweeps that revisit identical
   ``(system, timing, tiles)`` configurations cost one dict lookup.
+* ``simulate_tile_stream_batch`` seeds that cache for a whole serial
+  sweep. Its SERIALIZED cells of one stream length run as one stacked
+  tile loop, the only stack that beats the per-cell engine on the
+  sweeps measured (docs/PERFORMANCE.md); OVERLAPPED and TEPL cells run
+  their per-cell engines. Every fresh result lands in one group commit.
 """
 
 from __future__ import annotations
@@ -279,11 +284,8 @@ def simulate_tile_stream(
     return _simulate_tile_stream_uncached(system, timing, tiles)
 
 
-def _simulate_tile_stream_uncached(
-    system: SimSystem,
-    timing: KernelTiming,
-    tiles: int,
-) -> SimResult:
+def _stream_inputs(system: SimSystem, timing: KernelTiming, tiles: int):
+    """``(channel, timing, nbytes, dec)``: one cell's engine arguments."""
     nbytes = timing.tile_bytes(tiles)
     dec = timing.tile_dec_cycles(tiles)
     if np.any(nbytes < 0):
@@ -291,8 +293,17 @@ def _simulate_tile_stream_uncached(
     channel = MemoryChannel(
         _effective_bytes_per_cycle(system, timing), system.memory_latency
     )
-    trace = _ENGINES[timing.mode](channel, timing, nbytes, dec)
-    return _build_result(system, timing, channel, nbytes, dec, trace)
+    return channel, timing, nbytes, dec
+
+
+def _simulate_tile_stream_uncached(
+    system: SimSystem,
+    timing: KernelTiming,
+    tiles: int,
+) -> SimResult:
+    inputs = _stream_inputs(system, timing, tiles)
+    trace = _ENGINES[timing.mode](*inputs)
+    return _build_result(system, *inputs[1:], trace)
 
 
 def simulate_tile_stream_reference(
@@ -307,21 +318,14 @@ def simulate_tile_stream_reference(
     """
     if tiles < 8:
         raise ConfigurationError("need at least 8 tiles for a steady state")
-    nbytes = timing.tile_bytes(tiles)
-    dec = timing.tile_dec_cycles(tiles)
-    if np.any(nbytes < 0):
-        raise SimulationError("request size must be non-negative")
-    channel = MemoryChannel(
-        _effective_bytes_per_cycle(system, timing), system.memory_latency
-    )
-    trace = _REFERENCE_ENGINES[timing.mode](channel, timing, nbytes, dec)
-    return _build_result(system, timing, channel, nbytes, dec, trace)
+    inputs = _stream_inputs(system, timing, tiles)
+    trace = _REFERENCE_ENGINES[timing.mode](*inputs)
+    return _build_result(system, *inputs[1:], trace)
 
 
 def _build_result(
     system: SimSystem,
     timing: KernelTiming,
-    channel: MemoryChannel,
     nbytes: np.ndarray,
     dec: np.ndarray,
     trace: PipelineTrace,
@@ -800,191 +804,6 @@ def tile_stream_key(system: SimSystem, timing: KernelTiming, tiles: int):
     return _simcache.simulation_key(system, timing, int(tiles), DRAM_EFFICIENCY)
 
 
-def batch_group_key(timing: KernelTiming, tiles: int, dec=None):
-    """The shape-compatibility class of one cell, or ``None``.
-
-    Cells with equal keys can run as rows of one stacked engine pass:
-    everything that steers *control flow* inside an engine — invocation
-    mode, stream length, window geometry, which tiles decompress — must
-    match across the stack, while per-cell magnitudes (byte counts,
-    cycle costs, bandwidth shares, latencies) become per-row columns.
-    ``None`` marks a cell the batched engines do not handle (an
-    OVERLAPPED stream mixing dec and no-dec tiles); such cells take the
-    per-cell path unchanged.
-    """
-    tiles = int(tiles)
-    mode = timing.mode
-    if mode is InvocationMode.SERIALIZED:
-        # The serialized loop has no window feedback and treats zero dec
-        # cycles like any other cost: stream length is the whole shape.
-        return (mode.value, tiles)
-    if mode is InvocationMode.TEPL:
-        return (mode.value, tiles, timing.prefetch_window, timing.n_loaders)
-    if dec is None:
-        raw = timing.dec_cycles
-        if np.ndim(raw) == 0:
-            # Scalar dec broadcasts uniformly: the class is decided
-            # without materializing the per-tile array.
-            active = tiles if float(raw) > 0.0 else 0
-        else:
-            active = int(np.count_nonzero(timing.tile_dec_cycles(tiles) > 0.0))
-    else:
-        active = int(np.count_nonzero(dec > 0.0))
-    if active == tiles:
-        dec_class = "all"
-    elif active == 0:
-        dec_class = "none"
-    else:
-        return None
-    return (mode.value, tiles, timing.prefetch_window, dec_class)
-
-
-def _shifted2(cum: np.ndarray) -> np.ndarray:
-    """Row-wise exclusive prefix of an inclusive ``(cells, tiles)`` cumsum."""
-    out = np.zeros_like(cum)
-    out[:, 1:] = cum[:, :-1]
-    return out
-
-
-def _stack_tile_rows(timings, tiles: int, field: str) -> np.ndarray:
-    """Stack one per-tile timing field across cells into ``(cells, tiles)``.
-
-    Scalar fields fill their row directly (same float64 value the
-    per-cell ``_broadcast`` would ``np.full``); per-tile arrays go
-    through ``_broadcast`` itself, so each row matches the per-cell
-    engine's input bit for bit.
-    """
-    out = np.empty((len(timings), tiles))
-    for i, timing in enumerate(timings):
-        value = getattr(timing, field)
-        if np.ndim(value) == 0:
-            out[i, :] = float(value)
-        else:
-            out[i, :] = _broadcast(value, tiles, field)
-    return out
-
-
-def _run_overlapped_batch(channels, timings, nbytes2, dec2):
-    """The OVERLAPPED scans of :func:`_run_overlapped`, one pass per stage.
-
-    Identical algebra with one leading ``cells`` axis: the cumsums and
-    ``maximum.accumulate`` scans run along axis 1 of C-contiguous
-    ``(cells, tiles)`` stacks (both are strictly sequential per row, so
-    each row computes the per-cell engine's floats bit for bit), and the
-    per-cell scalars enter as ``(cells, 1)`` columns whose broadcast
-    applies the same elementwise IEEE ops. The fixed-point iteration
-    converges per row; a row already at its fixed point recomputes
-    identical values while slower rows catch up (the iteration map is
-    idempotent there), and a row that exhausts the budget falls back to
-    the exact per-tile reference, exactly like the per-cell engine.
-    Returns one :class:`PipelineTrace` per row.
-    """
-    k, tiles = nbytes2.shape
-    window = timings[0].prefetch_window
-    # batch_group_key guarantees a uniform dec class across the stack.
-    all_dec = bool(dec2[0, 0] > 0.0)
-    exposed = np.array([
-        t.exposed_latency * c.latency_cycles
-        for t, c in zip(timings, channels)
-    ])[:, None]
-    bpc = np.array([c.bytes_per_cycle for c in channels])[:, None]
-    if all_dec:
-        overhead = np.array(
-            [t.core_overhead_cycles for t in timings]
-        )[:, None]
-        dec_cum = np.cumsum(dec2 + overhead, axis=1)
-        dec_cum_prev = _shifted2(dec_cum)
-    mem_cum = np.cumsum(nbytes2 / bpc, axis=1)
-    mem_cum_prev = _shifted2(mem_cum)
-    # The fixed point converges per row at its own rate; rows are
-    # independent, so a converged row's state is scattered into the
-    # full-stack buffers and the iteration continues on the shrinking
-    # active submatrix (fancy indexing copies rows verbatim, and every
-    # scan is per-row sequential, so each row still computes the
-    # per-cell engine's floats bit for bit).
-    issue_full = np.zeros((k, tiles))
-    mem_done_full = np.zeros((k, tiles))
-    dec_start_full = np.zeros((k, tiles))
-    dec_done_full = np.zeros((k, tiles))
-    ok_full = np.zeros(k, dtype=bool)
-    active = np.arange(k)
-    issue = np.zeros((k, tiles))
-    mcum, mprev, exp_col = mem_cum, mem_cum_prev, exposed
-    if all_dec:
-        dcum, dprev = dec_cum, dec_cum_prev
-    for round_index in range(_OVERLAPPED_MAX_ROUNDS):
-        if round_index == 0:
-            mem_done = mcum + exp_col
-        else:
-            # In-place chain of the same ops: peak = accumulate(max(
-            # issue - mprev, 0)), mem_done = (peak + mcum) + exp_col.
-            peak = np.subtract(issue, mprev)
-            np.maximum(peak, 0.0, out=peak)
-            np.maximum.accumulate(peak, axis=1, out=peak)
-            mem_done = peak
-            mem_done += mcum
-            mem_done += exp_col
-        if all_dec:
-            peak = np.subtract(mem_done, dprev)
-            np.maximum(peak, 0.0, out=peak)
-            np.maximum.accumulate(peak, axis=1, out=peak)
-            dec_start = peak + dprev
-            dec_done = peak + dcum
-        else:
-            dec_start = mem_done
-            dec_done = mem_done
-        new_issue = np.zeros_like(issue)
-        if tiles > window:
-            new_issue[:, window:] = dec_start[:, :-window]
-        row_ok = np.all(new_issue == issue, axis=1)
-        issue = new_issue
-        if row_ok.any():
-            done_rows = active[row_ok]
-            issue_full[done_rows] = issue[row_ok]
-            mem_done_full[done_rows] = mem_done[row_ok]
-            dec_start_full[done_rows] = dec_start[row_ok]
-            dec_done_full[done_rows] = dec_done[row_ok]
-            ok_full[done_rows] = True
-            if row_ok.all():
-                break
-            keep = ~row_ok
-            active = active[keep]
-            issue = issue[keep]
-            mcum = mcum[keep]
-            mprev = mprev[keep]
-            exp_col = exp_col[keep]
-            if all_dec:
-                dcum = dcum[keep]
-                dprev = dprev[keep]
-    mtx = np.array([t.mtx_cycles for t in timings])[:, None]
-    handoff = np.array([t.handoff_cycles for t in timings])[:, None]
-    mtx_cum_prev = np.arange(tiles) * mtx
-    mtx_cum = np.arange(1, tiles + 1) * mtx
-    ready = dec_done_full + handoff
-    peak = np.maximum.accumulate(
-        np.maximum(ready - mtx_cum_prev, 0.0), axis=1
-    )
-    mtx_start = peak + mtx_cum_prev
-    mtx_done = peak + mtx_cum
-    traces = []
-    for r in range(k):
-        if ok_full[r]:
-            # Contiguous row views: each trace owns its row logically
-            # (the backing stacks are internal and never touched after
-            # this point), so no per-row copies are needed — the rows
-            # collectively hold exactly the per-cell arrays' bytes.
-            traces.append(PipelineTrace(
-                issue_full[r], mem_done_full[r],
-                dec_start_full[r], dec_done_full[r],
-                mtx_start[r], mtx_done[r],
-            ))
-        else:
-            traces.append(_run_overlapped_reference(
-                channels[r], timings[r], nbytes2[r], dec2[r]
-            ))
-    return traces
-
-
 def _run_serialized_batch(channels, timings, nbytes2, dec2):
     """The SERIALIZED loop of :func:`_run_serialized`, cells-vectorized.
 
@@ -993,7 +812,9 @@ def _run_serialized_batch(channels, timings, nbytes2, dec2):
     state as one ``(cells,)`` vector op: ``max`` on floats and
     ``np.maximum`` on float64 vectors select the same IEEE values, so
     each row is bit-identical to the per-cell loop. State matrices are
-    tile-major so the per-tile row views are contiguous.
+    tile-major so the per-tile row views are contiguous. The serialized
+    loop has no window feedback and treats zero dec cycles like any
+    other cost, so any cells of one stream length stack together.
     """
     k, tiles = nbytes2.shape
     bpc = np.array([c.bytes_per_cycle for c in channels])
@@ -1076,255 +897,74 @@ def _run_serialized_batch(channels, timings, nbytes2, dec2):
     ]
 
 
-def _run_tepl_batch(channels, timings, nbytes2, dec2):
-    """The TEPL loop of :func:`_run_tepl`, cells-vectorized.
+def simulate_tile_stream_batch(cells, use_cache: bool = True):
+    """Simulate many ``(system, timing, tiles)`` cells in one call.
 
-    Same structure as :func:`_run_serialized_batch`: the lag-``n_loaders``
-    hazard feedback keeps the tile loop, each iteration advances all
-    cells at once, and ``min``/``max`` on floats vs ``np.minimum`` /
-    ``np.maximum`` on float64 vectors select identical IEEE values.
-    ``prefetch_window`` and ``n_loaders`` are group-uniform (they steer
-    the loop's branches); every other timing knob is a per-row column.
-    """
-    k, tiles = nbytes2.shape
-    bpc = np.array([c.bytes_per_cycle for c in channels])
-    service_t = np.ascontiguousarray((nbytes2 / bpc[:, None]).T)
-    dec_t = np.ascontiguousarray(dec2.T)
-    exposed = np.array([
-        t.exposed_latency * c.latency_cycles
-        for t, c in zip(timings, channels)
-    ])
-    invoke = np.array([t.invoke_cycles for t in timings])
-    loader = np.array([t.loader_latency_cycles for t in timings])
-    handoff = np.array([t.handoff_cycles for t in timings])
-    mtx = np.array([t.mtx_cycles for t in timings])
-    n_loaders = timings[0].n_loaders
-    window = max(timings[0].prefetch_window, n_loaders)
-    prefetch_ahead = timings[0].prefetch_window > n_loaders
-    done_t = np.zeros((tiles, k))
-    complete_t = np.zeros((tiles, k))
-    dec_start_t = np.zeros((tiles, k))
-    fetch_issue_t = np.zeros((tiles, k))
-    mem_done_t = np.zeros((tiles, k))
-    dec_done_t = np.zeros((tiles, k))
-    mtx_start_t = np.zeros((tiles, k))
-    # Same dispatch-bound hoisting as the serialized loop: row views and
-    # ufuncs resolved once, reused every tile.
-    service_rows = list(service_t)
-    dec_rows = list(dec_t)
-    done_rows = list(done_t)
-    complete_rows = list(complete_t)
-    dec_start_rows = list(dec_start_t)
-    fetch_rows = list(fetch_issue_t)
-    mem_done_rows = list(mem_done_t)
-    dec_done_rows = list(dec_done_t)
-    mtx_start_rows = list(mtx_start_t)
-    add = np.add
-    maximum = np.maximum
-    minimum = np.minimum
-    mem_free = np.zeros(k)
-    dec_free = np.zeros(k)
-    mtx_free = np.zeros(k)
-    issue = np.empty(k)
-    start = np.empty(k)
-    ready = np.empty(k)
-    ds = np.empty(k)
-    for i in range(tiles):
-        if i < n_loaders:
-            issue[:] = invoke
-        else:
-            add(complete_rows[i - n_loaders], invoke, out=issue)
-        fi = fetch_rows[i]
-        if prefetch_ahead and i >= window:
-            # DECA's own prefetcher predicts future tiles and fetches
-            # ahead of the TEPL issue, decoupling fetch from the hazard.
-            minimum(dec_start_rows[i - window], issue, out=fi)
-        elif not prefetch_ahead:
-            fi[:] = issue
-        # (prefetch_ahead below the window: the row stays zero.)
-        maximum(fi, mem_free, out=start)
-        add(start, service_rows[i], out=mem_free)
-        md = mem_done_rows[i]
-        add(mem_free, exposed, out=md)
-        add(issue, loader, out=ready)
-        maximum(md, dec_free, out=ds)
-        dsr = dec_start_rows[i]
-        maximum(ds, ready, out=dsr)
-        dec_free = dec_done_rows[i]
-        add(dsr, dec_rows[i], out=dec_free)
-        comp = complete_rows[i]
-        add(dec_free, handoff, out=comp)
-        ms = mtx_start_rows[i]
-        maximum(comp, mtx_free, out=ms)
-        mtx_free = done_rows[i]
-        add(ms, mtx, out=mtx_free)
-    return [
-        PipelineTrace(
-            fetch_issue_t[:, r].copy(), mem_done_t[:, r].copy(),
-            dec_start_t[:, r].copy(), dec_done_t[:, r].copy(),
-            mtx_start_t[:, r].copy(), done_t[:, r].copy(),
-        )
-        for r in range(k)
-    ]
+    The sweep executor's cache-seeding front door. Fresh SERIALIZED
+    cells of one stream length are stacked on a leading ``cells`` axis
+    and drained through one vectorized tile loop
+    (:func:`_run_serialized_batch`); every other fresh cell runs its
+    mode's per-cell engine. Each result is bit-identical to
+    :func:`simulate_tile_stream` for the same cell.
 
-
-_BATCH_ENGINES = {
-    InvocationMode.OVERLAPPED: _run_overlapped_batch,
-    InvocationMode.SERIALIZED: _run_serialized_batch,
-    InvocationMode.TEPL: _run_tepl_batch,
-}
-
-
-def _build_results_batch(group, nbytes2, dec2, traces):
-    """Per-row :func:`_build_result`, with the reductions vectorized.
-
-    Mirrors ``_build_result`` exactly — every scalar op per row is the
-    same float arithmetic — but the two steady-window sums run once over
-    the ``(cells, tiles)`` stacks instead of once per cell (each row
-    slice is the same contiguous buffer the per-cell sum reduces, so
-    the axis-wise pairwise sums are bit-identical per row).
-    """
-    k, tiles = nbytes2.shape
-    half = tiles // 2
-    denom = tiles - 1 - half
-    mem_sums = np.sum(nbytes2[:, half + 1:], axis=1)
-    dec_sums = np.sum(dec2[:, half + 1:], axis=1)
-    done_last = np.empty(k)
-    done_half = np.empty(k)
-    for pos, trace in enumerate(traces):
-        done = trace.mtx_done
-        done_last[pos] = done[-1]
-        done_half[pos] = done[half]
-    # The same scalar arithmetic as _build_result, one vector op per
-    # quantity (float64 elementwise ops match Python-float ops bit for
-    # bit; np.minimum matches min() on finite operands).
-    steady = (done_last - done_half) / denom
-    if not np.all(steady > 0):
-        raise SimulationError("non-positive steady-state interval")
-    window = done_last - done_half
-    raw_bpc = np.array([s.per_core_bytes_per_cycle() for s, _, _ in group])
-    mtx_vec = np.array([t.mtx_cycles for _, t, _ in group])
-    memory_u = np.minimum(1.0, (mem_sums / raw_bpc) / window)
-    matrix_u = np.minimum(1.0, (mtx_vec * denom) / window)
-    dec_u = np.minimum(1.0, dec_sums / window)
-    results = []
-    for pos, (system, timing, _) in enumerate(group):
-        trace = traces[pos]
-        report = UtilizationReport(
-            memory=float(memory_u[pos]),
-            matrix=float(matrix_u[pos]),
-            decompress=float(dec_u[pos]),
-        )
-        for array in (
-            trace.fetch_issue, trace.mem_done, trace.dec_start,
-            trace.dec_done, trace.mtx_start, trace.mtx_done,
-        ):
-            array.setflags(write=False)
-        results.append(SimResult(
-            system=system,
-            tiles=tiles,
-            makespan_cycles=float(done_last[pos]),
-            steady_interval_cycles=float(steady[pos]),
-            utilization=report,
-            trace=trace,
-        ))
-    return results
-
-
-def simulate_tile_stream_batch(
-    cells, use_cache: bool = True, resolve_cached: bool = True
-):
-    """Simulate many ``(system, timing, tiles)`` cells, stacking compatible ones.
-
-    The cross-cell batched front door: cells whose
-    :func:`batch_group_key` matches are stacked on a leading ``cells``
-    axis and drained through one vectorized engine pass per stage;
-    incompatible cells and singleton groups fall back to
-    :func:`simulate_tile_stream`. Returns one :class:`SimResult` per
-    input cell, in input order, bit-identical to calling
-    :func:`simulate_tile_stream` per cell.
-
-    With ``use_cache=True`` the stack is built *around* the two-tier
-    cache: cells already resident in memory or on disk are excluded up
-    front (and served through the normal per-cell lookup, so hit
-    counters move exactly as they would unbatched), duplicate keys are
-    computed once, and every freshly batched row is fanned back in under
-    its cell's own :func:`tile_stream_key` — counting one miss and
-    spilling to disk exactly like a per-cell compute.
-
-    ``resolve_cached=False`` is the *seeding* contract the sweep
-    executor uses: cells excluded as already cached (or duplicates of
-    an earlier cell in this stack) are left as ``None`` in the result
-    list instead of being looked up here. The callers' own per-cell
-    lookups then touch each entry exactly once, so cache hit/disk-hit
-    accounting stays identical to the unbatched sweep (a warm disk
-    restart still reads 100% from disk, not 50/50 across a double
-    lookup).
+    With ``use_cache=True`` the call *seeds* the two-tier cache: cells
+    already resident in memory or on disk, and duplicates of an earlier
+    cell in this call, are not computed and come back as ``None``; the
+    rest land in one :func:`repro.sim.cache.insert_simulation_results`
+    call (one miss each, one disk group commit for the whole call).
+    Callers then read every cell through :func:`simulate_tile_stream`,
+    so each entry is looked up exactly once and hit/disk-hit accounting
+    matches an unseeded sweep (a warm disk replay still reads 100% from
+    disk). With ``use_cache=False`` every cell is computed and returned
+    and the cache is untouched.
     """
     cells = list(cells)
-    results: list = [None] * len(cells)
-    groups: dict = {}
-    deferred: list = []
-    seen: set = set()
-    keys: dict = {}
-    for idx, (system, timing, tiles) in enumerate(cells):
+    for _system, _timing, tiles in cells:
         if tiles < 8:
             raise ConfigurationError(
                 "need at least 8 tiles for a steady state"
             )
-        if use_cache:
+    results: list = [None] * len(cells)
+    keys: dict = {}
+    if use_cache:
+        seen: set = set()
+        for idx, (system, timing, tiles) in enumerate(cells):
             key = tile_stream_key(system, timing, tiles)
             if key in seen or _simcache.simulation_cache_contains(key):
-                # Already cached (either tier) or a duplicate of a cell
-                # earlier in this stack: resolve through the per-cell
-                # lookup after the stacks have landed.
-                deferred.append(idx)
                 continue
             seen.add(key)
             keys[idx] = key
-        gkey = batch_group_key(timing, tiles)
-        if gkey is None:
-            results[idx] = simulate_tile_stream(
-                system, timing, tiles, use_cache=use_cache
-            )
+        fresh = list(keys)
+    else:
+        fresh = list(range(len(cells)))
+    stacks: dict = {}
+    for idx in fresh:
+        _, timing, tiles = cells[idx]
+        if timing.mode is InvocationMode.SERIALIZED:
+            stacks.setdefault(int(tiles), []).append(idx)
+    for members in stacks.values():
+        if len(members) < 2:
             continue
-        groups.setdefault(gkey, []).append(idx)
-    for gkey, members in groups.items():
-        if len(members) == 1:
-            system, timing, tiles = cells[members[0]]
-            results[members[0]] = simulate_tile_stream(
-                system, timing, tiles, use_cache=use_cache
-            )
-            continue
-        tiles = gkey[1]
-        group = [cells[i] for i in members]
-        timings = [t for _, t, _ in group]
-        channels = [
-            MemoryChannel(_effective_bytes_per_cycle(s, t), s.memory_latency)
-            for s, t, _ in group
-        ]
-        nbytes2 = _stack_tile_rows(timings, tiles, "bytes_per_tile")
-        dec2 = _stack_tile_rows(timings, tiles, "dec_cycles")
-        if np.any(nbytes2 < 0):
-            raise SimulationError("request size must be non-negative")
-        traces = _BATCH_ENGINES[InvocationMode(gkey[0])](
-            channels, timings, nbytes2, dec2
+        inputs = [_stream_inputs(*cells[idx]) for idx in members]
+        channels, timings, nbytes, dec = zip(*inputs)
+        traces = _run_serialized_batch(
+            channels, timings, np.stack(nbytes), np.stack(dec)
         )
-        rows = _build_results_batch(group, nbytes2, dec2, traces)
-        if use_cache:
-            # Fan the rows back in under the keys probed during the
-            # exclusion pass (one lock acquisition): each fresh key
-            # counts one miss and spills to disk exactly as a per-cell
-            # compute would.
-            rows = _simcache.insert_simulation_results(
-                [(keys[idx], rows[pos]) for pos, idx in enumerate(members)]
+        for idx, (_, timing, nbytes, dec), trace in zip(
+            members, inputs, traces
+        ):
+            results[idx] = _build_result(
+                cells[idx][0], timing, nbytes, dec, trace
             )
-        for pos, idx in enumerate(members):
-            results[idx] = rows[pos]
-    if resolve_cached:
-        for idx in deferred:
-            system, timing, tiles = cells[idx]
-            results[idx] = simulate_tile_stream(system, timing, tiles)
+    for idx in fresh:
+        if results[idx] is None:
+            results[idx] = _simulate_tile_stream_uncached(*cells[idx])
+    if use_cache:
+        stored = _simcache.insert_simulation_results(
+            [(keys[idx], results[idx]) for idx in fresh]
+        )
+        for idx, result in zip(fresh, stored):
+            results[idx] = result
     return results
 
 

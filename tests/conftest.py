@@ -74,6 +74,50 @@ def _no_leaked_processes_or_threads():
     )
 
 
+#: How long the per-test guard waits for a test's new child processes
+#: and threads to finish exiting before it fails that test (seconds).
+_TEST_LEAK_GRACE_S = 5.0
+
+
+def _pool_pids() -> "set[int]":
+    from repro.experiments.parallel import worker_pool_pids
+
+    return set(worker_pool_pids())
+
+
+@pytest.fixture(autouse=True)
+def _no_leaks_from_this_test():
+    """Fail the test that leaves a new child process or thread alive.
+
+    The session guard below only says *that* something leaked; this one
+    names the test. A child or non-daemon thread that is alive after the
+    test and was not alive before it must finish exiting within a
+    bounded grace. Live persistent worker-pool processes are excluded:
+    the pool is meant to outlive the sweep that started it.
+    """
+    children_before = set(_live_children())
+    threads_before = set(threading.enumerate())
+    yield
+    deadline = time.monotonic() + _TEST_LEAK_GRACE_S
+    while True:
+        multiprocessing.active_children()  # reaps exited children
+        children = set(_live_children()) - children_before - _pool_pids()
+        threads = [
+            thread.name
+            for thread in threading.enumerate()
+            if thread not in threads_before
+            and thread is not threading.main_thread()
+            and not thread.daemon
+        ]
+        if not (children or threads) or time.monotonic() >= deadline:
+            break
+        time.sleep(0.05)
+    assert not children and not threads, (
+        f"test left child processes {sorted(children)} and/or non-daemon "
+        f"threads {threads} alive after a {_TEST_LEAK_GRACE_S:.0f} s grace"
+    )
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     """A deterministic random generator."""

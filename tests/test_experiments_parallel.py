@@ -7,13 +7,14 @@ into the parent keyed by the same ``simulation_key``.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.core.schemes import parse_scheme
 from repro.experiments import figure12, sensitivity
-from repro.experiments.grid import run_grid, to_csv
+from repro.experiments.grid import grid_spec, run_grid, to_csv
 from repro.experiments.parallel import (
     claim_worker_pool,
     dispatched_task_count,
@@ -48,12 +49,11 @@ _SCHEMES = (parse_scheme("Q4"), parse_scheme("Q8_5%"))
 
 
 def _small_grid(jobs):
-    # batch=False: these tests pin the *per-cell* pool dispatch and its
+    # batchable=None: these tests pin the *per-cell* dispatch and its
     # cache-merge accounting (task counts, worker hit/miss deltas); the
     # batched routing has its own suite in test_sweep_batched.py.
-    return run_grid(
-        systems=(hbm_system(),), schemes=_SCHEMES, jobs=jobs, batch=False
-    )
+    spec = grid_spec(systems=(hbm_system(),), schemes=_SCHEMES)
+    return replace(spec, batchable=None).run(jobs=jobs)
 
 
 def _simulate_item(task):

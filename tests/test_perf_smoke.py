@@ -44,12 +44,10 @@ def test_smoke_runs_every_anchor(tmp_path, monkeypatch):
     }
     assert results["dse_warm_cache"]["disk_hit_rate"] >= 0.0
     assert results["figure12_time_to_first_result"]["first_result_fraction"] > 0
-    # The batching anchors measured both sides and derived their ratio.
-    for name in ("grid_batched_48", "figure12_batched"):
-        entry = results[name]
-        assert entry["per_cell_s"] > 0.0, name
-        assert entry["batched_speedup"] > 0.0, name
-    assert results["grid_batched_48"]["cells"] == 48.0
+    # The batching anchor measured both sides and derived its ratio.
+    batched = results["figure12_batched"]
+    assert batched["per_cell_s"] > 0.0
+    assert batched["batched_speedup"] > 0.0
     # The serve anchor measured both sides, and its coalescing rate is
     # a true rate even at smoke sizes.
     serve = results["serve_coalesced_8x"]

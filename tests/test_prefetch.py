@@ -110,7 +110,6 @@ class TestWarmReplay:
         grid = dict(
             systems=(hbm_system(),),
             schemes=(parse_scheme("Q8"), parse_scheme("Q4")),
-            batch=False,
         )
         cold = run_grid(jobs=2, **grid)
         clear_simulation_cache()

@@ -1,28 +1,32 @@
-"""Bit-identity of the cross-cell batched engines vs the per-cell path.
+"""Bit-identity of the batched seeding front door vs the per-cell path.
 
-The batched entry points promise *bit-identical* results to calling the
-per-cell simulators cell by cell — same floats, same frozen traces, same
-cache counter movement. These tests sweep an equivalence matrix across
-heterogeneous systems, invocation modes, window geometries, per-tile
-array timings, and partial cache hits.
+``simulate_tile_stream_batch`` promises *bit-identical* results to
+calling :func:`simulate_tile_stream` cell by cell — same floats, same
+frozen traces, same cache counter movement — whether a cell runs in the
+stacked SERIALIZED loop or in its mode's per-cell engine. These tests
+sweep an equivalence matrix across heterogeneous systems, invocation
+modes, window geometries, per-tile array timings, and partial cache
+hits. Seeded results are read back through ``simulate_tile_stream``,
+the way the sweep executor reads them.
 """
 
 import numpy as np
 import pytest
 
+import repro.sim.pipeline as pipeline
 from repro.core.schemes import PAPER_SCHEMES
 from repro.deca.integration import FULL_INTEGRATION, deca_kernel_timing
 from repro.errors import ConfigurationError
 from repro.kernels.libxsmm import software_kernel_timing
 from repro.sim.cache import (
     clear_simulation_cache,
+    configure_simulation_cache_dir,
     results_bit_equal,
     simulation_cache_stats,
 )
 from repro.sim.pipeline import (
     InvocationMode,
     KernelTiming,
-    batch_group_key,
     simulate_tile_stream,
     simulate_tile_stream_batch,
 )
@@ -44,15 +48,36 @@ def _assert_batch_matches_per_cell(cells, use_cache=True):
     clear_simulation_cache()
     batched = simulate_tile_stream_batch(cells, use_cache=use_cache)
     assert len(batched) == len(cells)
+    if use_cache:
+        # Seeding contract: every cell reads back through the per-cell
+        # front door; a row the call returned is that cached object.
+        read = [simulate_tile_stream(s, t, n) for s, t, n in cells]
+        for row, got in zip(batched, read):
+            assert row is None or row is got
+        batched = read
     for one, two in zip(per, batched):
         assert results_bit_equal(one, two)
     return batched
 
 
+@pytest.fixture
+def stacks(monkeypatch):
+    """Record the row count of every stacked SERIALIZED engine pass."""
+    widths = []
+    engine = pipeline._run_serialized_batch
+
+    def spy(channels, timings, nbytes2, dec2):
+        widths.append(len(timings))
+        return engine(channels, timings, nbytes2, dec2)
+
+    monkeypatch.setattr(pipeline, "_run_serialized_batch", spy)
+    return widths
+
+
 class TestTileStreamEquivalence:
     def test_paper_grid_mixed_modes(self, hbm, ddr):
         # Heterogeneous systems x schemes x engines: software OVERLAPPED
-        # cells and DECA TEPL cells in one call, several stack groups.
+        # cells and DECA TEPL cells in one call.
         cells = []
         for system in (hbm, ddr):
             for scheme in PAPER_SCHEMES[:4]:
@@ -104,7 +129,7 @@ class TestTileStreamEquivalence:
         _assert_batch_matches_per_cell(cells)
 
     def test_window_variations_split_groups(self, hbm):
-        # Three window sizes: three separate stacks, all bit-identical.
+        # Three window sizes in one call, all bit-identical.
         cells = [
             (hbm, _timing(prefetch_window=window, bytes_per_tile=bpt), 48)
             for window in (2, 8, 24)
@@ -114,21 +139,22 @@ class TestTileStreamEquivalence:
 
     def test_per_tile_array_timings(self, hbm, ddr, rng):
         # Per-tile byte/dec arrays stack like scalars (rows are the
-        # broadcast arrays).
+        # broadcast arrays), in every mode.
         tiles = 48
         cells = []
-        for system in (hbm, ddr):
-            for _ in range(3):
-                cells.append((system, _timing(
-                    bytes_per_tile=rng.uniform(64.0, 2048.0, tiles),
-                    dec_cycles=rng.uniform(1.0, 60.0, tiles),
-                ), tiles))
+        for mode in InvocationMode:
+            for system in (hbm, ddr):
+                for _ in range(3):
+                    cells.append((system, _timing(
+                        mode=mode,
+                        bytes_per_tile=rng.uniform(64.0, 2048.0, tiles),
+                        dec_cycles=rng.uniform(1.0, 60.0, tiles),
+                    ), tiles))
         _assert_batch_matches_per_cell(cells)
 
     def test_mixed_dec_cells_fall_back_per_cell(self, hbm):
-        # An OVERLAPPED stream mixing dec and no-dec tiles has no batch
-        # class; it must still come back bit-identical via the per-cell
-        # engine, alongside batchable neighbours.
+        # An OVERLAPPED stream mixing dec and no-dec tiles comes back
+        # bit-identical alongside uniform neighbours.
         mixed_dec = np.zeros(48)
         mixed_dec[::2] = 40.0
         cells = [
@@ -160,7 +186,8 @@ class TestTileStreamEquivalence:
 
     def test_traces_frozen_read_only(self, hbm):
         cells = [
-            (hbm, _timing(bytes_per_tile=bpt), 48)
+            (hbm, _timing(mode=mode, bytes_per_tile=bpt), 48)
+            for mode in InvocationMode
             for bpt in (256.0, 512.0, 1024.0)
         ]
         clear_simulation_cache()
@@ -178,35 +205,39 @@ class TestTileStreamEquivalence:
 
 
 class TestBatchGroupKey:
-    def test_serialized_keys_on_mode_and_tiles(self):
-        one = batch_group_key(
-            _timing(mode=InvocationMode.SERIALIZED, prefetch_window=2), 48
-        )
-        two = batch_group_key(
-            _timing(mode=InvocationMode.SERIALIZED, prefetch_window=30), 48
-        )
-        assert one == two  # serialized has no window feedback
+    """Which cells share one stacked SERIALIZED engine pass."""
 
-    def test_tepl_keys_on_window_and_loaders(self):
-        base = _timing(mode=InvocationMode.TEPL)
-        assert batch_group_key(base, 48) != batch_group_key(
-            _timing(mode=InvocationMode.TEPL, n_loaders=4), 48
-        )
+    def test_serialized_keys_on_mode_and_tiles(self, hbm, ddr, stacks):
+        # SERIALIZED cells of one stream length share a stack: window
+        # geometry, loader count and dec class do not split it, and
+        # every OVERLAPPED or TEPL cell runs its per-cell engine.
+        serialized = InvocationMode.SERIALIZED
+        cells = [
+            (hbm, _timing(mode=serialized, prefetch_window=2), 48),
+            (ddr, _timing(mode=serialized, prefetch_window=30,
+                          n_loaders=4), 48),
+            (hbm, _timing(mode=serialized, dec_cycles=0.0), 48),
+            (hbm, _timing(), 48),
+            (hbm, _timing(bytes_per_tile=64.0), 48),
+            (hbm, _timing(mode=InvocationMode.TEPL), 48),
+            (ddr, _timing(mode=InvocationMode.TEPL), 48),
+        ]
+        _assert_batch_matches_per_cell(cells)
+        assert stacks == [3]
 
-    def test_overlapped_keys_on_dec_class(self):
-        with_dec = batch_group_key(_timing(dec_cycles=32.0), 48)
-        no_dec = batch_group_key(_timing(dec_cycles=0.0), 48)
-        assert with_dec != no_dec
-
-    def test_mixed_dec_has_no_class(self):
-        mixed = np.zeros(48)
-        mixed[0] = 5.0
-        assert batch_group_key(_timing(dec_cycles=mixed), 48) is None
-
-    def test_tile_counts_never_alias(self):
-        assert batch_group_key(_timing(), 48) != batch_group_key(
-            _timing(), 64
-        )
+    def test_tile_counts_never_alias(self, hbm, ddr, stacks):
+        # Cells of different stream lengths never share a stack; a lone
+        # cell of its length runs the per-cell engine.
+        serialized = InvocationMode.SERIALIZED
+        cells = [
+            (hbm, _timing(mode=serialized), 48),
+            (ddr, _timing(mode=serialized), 48),
+            (hbm, _timing(mode=serialized, bytes_per_tile=64.0), 64),
+            (ddr, _timing(mode=serialized, bytes_per_tile=64.0), 64),
+            (hbm, _timing(mode=serialized), 96),
+        ]
+        _assert_batch_matches_per_cell(cells)
+        assert sorted(stacks) == [2, 2]
 
 
 class TestCacheInterplay:
@@ -240,12 +271,14 @@ class TestCacheInterplay:
         before = simulation_cache_stats()
         batched = simulate_tile_stream_batch(cells)
         after = simulation_cache_stats()
-        # Warm cells are served from cache (one hit each), cold cells
-        # are computed (one miss each).
-        assert after.hits == before.hits + 2
+        # Warm cells are neither computed nor looked up (``None``);
+        # cold cells are computed (one miss each).
+        assert after.hits == before.hits
         assert after.misses == before.misses + 2
-        assert batched[0] is warm[0]
-        assert batched[2] is warm[1]
+        assert batched[0] is None and batched[2] is None
+        assert simulate_tile_stream(*cells[0]) is warm[0]
+        assert simulate_tile_stream(*cells[2]) is warm[1]
+        assert simulate_tile_stream(*cells[1]) is batched[1]
 
     def test_duplicate_cells_compute_once(self, hbm):
         timing = _timing(bytes_per_tile=640.0)
@@ -255,11 +288,9 @@ class TestCacheInterplay:
         batched = simulate_tile_stream_batch(cells)
         stats = simulation_cache_stats()
         assert stats.misses == 2
-        assert stats.hits == 1
-        assert batched[0] is batched[2]
-        assert results_bit_equal(
-            batched[0], simulate_tile_stream(hbm, timing, 48)
-        )
+        assert stats.hits == 0
+        assert batched[2] is None
+        assert simulate_tile_stream(hbm, timing, 48) is batched[0]
 
     def test_batched_results_serve_later_per_cell_calls(self, hbm):
         cells = [
@@ -282,3 +313,30 @@ class TestCacheInterplay:
         assert stats.hits == 0
         assert stats.misses == 0
         assert stats.size == 0
+
+    def test_one_group_commit_and_disk_replay_parity(self, hbm, tmp_path):
+        # Every fresh cell of every mode lands in one pack (the call
+        # writes more than PACK_MIN_ENTRIES), no loose entries; a warm replay from disk then reads every cell from
+        # the disk tier exactly once.
+        cells = [
+            (hbm, _timing(mode=mode, bytes_per_tile=bpt), 48)
+            for mode in InvocationMode
+            for bpt in (256.0, 512.0, 1024.0, 2048.0)
+        ]
+        configure_simulation_cache_dir(str(tmp_path))
+        try:
+            clear_simulation_cache()
+            cold = simulate_tile_stream_batch(cells)
+            assert all(row is not None for row in cold)
+            assert len(list(tmp_path.rglob("*.pack"))) == 1
+            assert list(tmp_path.rglob("*.pkl")) == []
+            clear_simulation_cache()
+            assert simulate_tile_stream_batch(cells) == [None] * len(cells)
+            warm = [simulate_tile_stream(*cell) for cell in cells]
+            stats = simulation_cache_stats()
+            assert (stats.hits, stats.misses) == (0, 0)
+            assert stats.disk_hits == len(cells)
+            for one, two in zip(cold, warm):
+                assert results_bit_equal(one, two)
+        finally:
+            configure_simulation_cache_dir(None)

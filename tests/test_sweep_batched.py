@@ -5,12 +5,13 @@ covered by ``test_sim_batched.py``; these tests pin the *routing*: a
 serial ``SweepSpec`` carrying a :func:`batchable` annotation must
 produce exactly the records, ordering, emission rows, and cache
 behaviour of the per-cell path — with batching observable only through
-cache counters — ``batch=False`` must keep it per cell, and a pool
-sweep must dispatch one task per cell.
+cache counters — a spec built with ``batchable=None`` must run per
+cell, and a pool sweep must dispatch one task per cell.
 """
 
 import io
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -32,27 +33,33 @@ def _fresh_cache():
     clear_simulation_cache()
 
 
-def _grid_records(batch, tiles=64, jobs=1):
+def _per_cell(spec):
+    """The same spec without its batching annotation."""
+    return replace(spec, batchable=None)
+
+
+def _grid_records(batched, tiles=64, jobs=1):
     clear_simulation_cache()
-    return run_grid(tiles=tiles, jobs=jobs, batch=batch)
+    spec = grid_spec(tiles=tiles)
+    return (spec if batched else _per_cell(spec)).run(jobs=jobs)
 
 
 class TestGridRouting:
     def test_batched_records_bit_identical(self):
-        batched = _grid_records(batch=True)
-        per_cell = _grid_records(batch=False)
+        batched = _grid_records(batched=True)
+        per_cell = _grid_records(batched=False)
         assert batched == per_cell
         assert len(batched) == 48
 
     def test_batching_seeds_the_cache(self):
-        """Batch-on: every task lookup is a warm hit of the seeded stack."""
-        _grid_records(batch=True)
+        """Batched: every task lookup is a warm hit of the seeded cache."""
+        _grid_records(batched=True)
         stats = simulation_cache_stats()
         assert stats.misses == 48
         assert stats.hits == 48
 
     def test_per_cell_path_has_no_warm_hits(self):
-        _grid_records(batch=False)
+        _grid_records(batched=False)
         stats = simulation_cache_stats()
         assert stats.misses == 48
         assert stats.hits == 0
@@ -60,35 +67,37 @@ class TestGridRouting:
     def test_stream_preserves_index_order_and_coords(self):
         spec = grid_spec(tiles=64)
         coords = spec.coords()
-        cells = list(spec.stream(jobs=1, batch=True))
+        cells = list(spec.stream(jobs=1))
         assert [c.index for c in cells] == list(range(len(coords)))
         assert [c.coords for c in cells] == coords
 
     def test_uncached_cells_fall_through(self):
         """use_cache=False cells declare no sims: per-cell path, zero stats."""
-        records = run_grid(tiles=64, use_cache=False, batch=True)
+        records = run_grid(tiles=64, use_cache=False)
         stats = simulation_cache_stats()
         assert (stats.hits, stats.misses, stats.size) == (0, 0, 0)
         clear_simulation_cache()
-        assert records == run_grid(tiles=64, use_cache=False, batch=False)
+        spec = _per_cell(grid_spec(tiles=64, use_cache=False))
+        assert records == spec.run(jobs=1)
 
     def test_partial_warm_cache(self):
         """Cells already resident stay out of the stack but still stream."""
-        warm = run_grid(schemes=grid_spec().axes["scheme"][:3], tiles=64,
-                        batch=False)
-        full = run_grid(tiles=64, batch=True)
+        warm = _per_cell(
+            grid_spec(schemes=grid_spec().axes["scheme"][:3], tiles=64)
+        ).run(jobs=1)
+        full = run_grid(tiles=64)
         assert full[:0] == []  # shape sanity
         clear_simulation_cache()
-        assert full == run_grid(tiles=64, batch=False)
+        assert full == _per_cell(grid_spec(tiles=64)).run(jobs=1)
         assert len(warm) == 12
 
 
 class TestSpeedupRouting:
     def test_batched_speedups_bit_identical(self):
         clear_simulation_cache()
-        batched = sweep_speedups(hbm_system(), tiles=64, batch=True)
+        batched = sweep_speedups(hbm_system(), tiles=64)
         clear_simulation_cache()
-        per_cell = sweep_speedups(hbm_system(), tiles=64, batch=False)
+        per_cell = _per_cell(speedup_spec(hbm_system(), tiles=64)).run()
         assert batched == per_cell
         assert len(batched) == 12
 
@@ -103,15 +112,15 @@ class TestDeadline:
         ] + ["Q4", "Q8", "Q16_40%"]
         schemes = [parse_scheme(name) for name in names]
         moved = {}
-        for batch in (True, False):
+        for batched in (True, False):
             clear_simulation_cache()
             spec = speedup_spec(hbm_system(), schemes=schemes, tiles=4000)
+            if not batched:
+                spec = _per_cell(spec)
             before = simulation_cache_stats().misses
             with pytest.raises(DeadlineExceededError):
-                list(spec.stream(
-                    jobs=1, batch=batch, deadline=time.monotonic() - 1,
-                ))
-            moved[batch] = simulation_cache_stats().misses - before
+                list(spec.stream(jobs=1, deadline=time.monotonic() - 1))
+            moved[batched] = simulation_cache_stats().misses - before
         assert moved[True] <= moved[False]
 
 
@@ -143,11 +152,11 @@ class TestEmission:
         clear_simulation_cache()
         buf_on = io.StringIO()
         emitter = JsonlEmitter(buf_on)
-        out_on = stream_to_emitter(spec, emitter, jobs=1, batch=True)
+        out_on = stream_to_emitter(spec, emitter, jobs=1)
         clear_simulation_cache()
         buf_off = io.StringIO()
         emitter = JsonlEmitter(buf_off)
-        out_off = stream_to_emitter(spec, emitter, jobs=1, batch=False)
+        out_off = stream_to_emitter(_per_cell(spec), emitter, jobs=1)
         assert buf_on.getvalue() == buf_off.getvalue()
         assert out_on == out_off
         assert len(buf_on.getvalue().splitlines()) == 48
